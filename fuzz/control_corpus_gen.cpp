@@ -76,9 +76,10 @@ int main(int argc, char** argv) {
   emit("req_dump_trace.ctl", request(daemon::ControlOp::kDumpTrace));
   emit("req_payload.ctl", request(daemon::ControlOp::kStats, "hello world"));
 
-  // links carries a real option grammar ("top=N sort=KEY") parsed by
-  // the daemon — seed the fuzzer with well-formed, partial, and broken
-  // variants so mutation explores the parser, not just the framing.
+  // The readouts carry a real option grammar ("format=F top=N
+  // sort=KEY") parsed by the daemon — seed the fuzzer with
+  // well-formed, partial, and broken variants so mutation explores the
+  // parser, not just the framing.
   emit("req_links.ctl", request(daemon::ControlOp::kLinks));
   emit("req_links_opts.ctl",
        request(daemon::ControlOp::kLinks, "top=5 sort=snr"));
@@ -89,6 +90,17 @@ int main(int argc, char** argv) {
   emit("req_links_bad_key.ctl",
        request(daemon::ControlOp::kLinks, "limit=3"));
   emit("req_links_no_eq.ctl", request(daemon::ControlOp::kLinks, "top 3"));
+  emit("req_links_json.ctl",
+       request(daemon::ControlOp::kLinks, "format=json top=2 sort=tag"));
+
+  // stats and health share the option parser; format= is their one
+  // option, and a bad value is a typed error.
+  emit("req_stats_json.ctl",
+       request(daemon::ControlOp::kStats, "format=json"));
+  emit("req_health_json.ctl",
+       request(daemon::ControlOp::kHealth, "format=json"));
+  emit("req_stats_bad_format.ctl",
+       request(daemon::ControlOp::kStats, "format=xml"));
 
   // Responses: ok with a stats-shaped body, error with a message.
   emit("resp_ok.ctl",

@@ -1,5 +1,6 @@
 // Fuzz harness for the saiyand control-protocol codec
-// (src/daemon/control_protocol.*).
+// (src/daemon/control_protocol.*) and the readout option parser
+// (gateway::parse_readout_query) that decoded payloads feed.
 //
 // Contract under fuzz: arbitrary bytes fed to decode_request /
 // decode_response may be rejected with a typed error but must never
@@ -26,6 +27,7 @@
 #include <string_view>
 
 #include "daemon/control_protocol.hpp"
+#include "gateway/gateway_metrics.hpp"
 
 namespace {
 
@@ -42,6 +44,10 @@ void check(bool ok, const char* what) {
 void drive_request(std::string_view bytes) {
   auto req = daemon::decode_request(bytes);
   if (!req.ok()) return;
+  // The daemon hands every readout payload to the option parser: any
+  // bytes may be rejected, never crash it.
+  (void)gateway::parse_readout_query(
+      req.value().payload, req.value().op == daemon::ControlOp::kLinks);
   // A decodable frame must round-trip bit-exactly.
   const std::string wire = daemon::encode_request(req.value());
   check(wire == bytes, "wire == bytes");

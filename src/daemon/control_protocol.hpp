@@ -5,21 +5,21 @@
 //   request:  u32 length | u8 op     | payload[length - 1]
 //   response: u32 length | u8 status | payload[length - 1]
 //
-// `length` covers the op/status byte plus the payload. Ops: stats = 1
-// (response payload: GatewayStats::to_text() `key value` lines),
-// reload = 2 (re-read the config file and swap the serving config;
-// in-flight jobs are untouched), drain = 3 (block until every queued
-// job and subscriber queue is empty), health = 4 (response payload:
-// GatewayHealth::to_text() — watchdog liveness + degradation ladder),
-// metrics = 5 (response payload: Prometheus text exposition of the
-// stats snapshot), dump_trace = 6 (response payload: Chrome
-// trace-event JSON from the flight recorder, trimmed to fit the
-// payload cap; "{\"traceEvents\":[]}" when tracing is off or compiled
-// out), links = 7 (request payload: optional "top=N sort=KEY" options
-// parsed by gateway::parse_link_query; response payload:
-// gateway::links_to_text() `key value` lines of the link-telescope
-// registry). status: 0 = ok, 1 = error (the payload is the error
-// message).
+// `length` covers the op/status byte plus the payload. Ops: stats = 1,
+// health = 4 and links = 7 answer with the `key value` readouts of
+// GatewayStats, GatewayHealth (watchdog liveness + degradation ladder)
+// and the link-telescope registry, rendered by the daemon from their
+// field lists (gateway/gateway_metrics.hpp); their request payload
+// holds key=value options parsed by gateway::parse_readout_query
+// (format=text|json; top=N sort=KEY on links). reload = 2 (re-read
+// the config file and swap the serving config; in-flight jobs are
+// untouched), drain = 3 (block until every queued job and subscriber
+// queue is empty), metrics = 5 (Prometheus text exposition of the
+// stats snapshot) and dump_trace = 6 (Chrome trace-event JSON from the
+// flight recorder, trimmed to fit the payload cap;
+// "{\"traceEvents\":[]}" when tracing is off or compiled out) take no
+// options. An unknown option is an error. status: 0 = ok, 1 = error
+// (the payload is the error message).
 //
 // Hostile-input posture matches the trace reader: a declared length is
 // bounded (kMaxControlPayload) before anything is allocated, and a

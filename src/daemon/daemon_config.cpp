@@ -85,12 +85,12 @@ saiyan::Result<DaemonOptions> load_daemon_config(const std::string& path) {
       opt.gateway.limits.subscriber_queue = static_cast<std::size_t>(u);
     } else if (key == "sic_shed_queue") {
       if (!want_u64()) return at(path, lineno, "sic_shed_queue: not an integer");
-      opt.gateway.limits.sic_shed_queue = static_cast<std::size_t>(u);
+      opt.gateway.stream.sic.shed_queue = static_cast<std::size_t>(u);
     } else if (key == "sic_max_rescan_queue") {
       if (!want_u64()) {
         return at(path, lineno, "sic_max_rescan_queue: not an integer");
       }
-      opt.gateway.limits.sic_max_rescan_queue = static_cast<std::size_t>(u);
+      opt.gateway.stream.sic.max_rescan_queue = static_cast<std::size_t>(u);
     } else if (key == "watchdog_poll_ms") {
       if (!want_u64()) {
         return at(path, lineno, "watchdog_poll_ms: not an integer");

@@ -2,11 +2,11 @@
 //
 // Serve mode (default): build a gateway::Gateway from a config file
 // and/or flags, enqueue any --trace files, and serve until SIGTERM.
-// A unix control socket answers saiyand-control (stats / reload /
-// drain). SIGHUP re-reads --config and swaps the serving config; jobs
-// already running finish under the config they started with, so a
-// reload never drops an in-flight span. SIGTERM/SIGINT drain queued
-// work, print final stats, and exit 0.
+// A unix control socket answers saiyand-control (stats, health, links,
+// metrics, reload, drain, dump_trace). SIGHUP re-reads --config and
+// swaps the serving config; jobs already running finish under the
+// config they started with, so a reload never drops an in-flight span.
+// SIGTERM/SIGINT drain queued work, print final stats, and exit 0.
 //
 // Record mode (--record OUT): synthesize a deterministic multi-tag
 // capture with the simulator and write it as a trace — the
@@ -374,9 +374,34 @@ int main(int argc, char** argv) {
 
   auto server = saiyan::daemon::ControlServer::start(
       opt.socket_path, [&](const ControlRequest& req) -> ControlResponse {
+        // The readouts parse their options with one parser and render
+        // text or JSON from the snapshot's field list; the other ops
+        // take no options.
+        const bool links = req.op == ControlOp::kLinks;
+        if (links || req.op == ControlOp::kStats ||
+            req.op == ControlOp::kHealth) {
+          auto q = saiyan::gateway::parse_readout_query(req.payload, links);
+          if (!q.ok()) return {ControlStatus::kError, q.message()};
+          saiyan::obs::FieldList list;
+          if (links) {
+            saiyan::gateway::describe_links(gw->links(), q.value().links,
+                                            list);
+          } else if (req.op == ControlOp::kStats) {
+            saiyan::gateway::describe(gw->stats(), list);
+          } else {
+            saiyan::gateway::describe(gw->health(), list);
+          }
+          return {ControlStatus::kOk,
+                  saiyan::obs::render(list, q.value().format)};
+        }
+        if (!req.payload.empty()) {
+          return {ControlStatus::kError, "this op takes no options"};
+        }
         switch (req.op) {
           case ControlOp::kStats:
-            return {ControlStatus::kOk, gw->stats().to_text()};
+          case ControlOp::kHealth:
+          case ControlOp::kLinks:
+            break;  // answered above
           case ControlOp::kReload: {
             auto r = do_reload();
             if (!r.ok()) return {ControlStatus::kError, r.message()};
@@ -387,8 +412,6 @@ int main(int argc, char** argv) {
             if (!r.ok()) return {ControlStatus::kError, r.message()};
             return {ControlStatus::kOk, "drained\n"};
           }
-          case ControlOp::kHealth:
-            return {ControlStatus::kOk, gw->health().to_text()};
           case ControlOp::kMetrics:
             return {ControlStatus::kOk,
                     saiyan::gateway::to_prometheus(gw->stats())};
@@ -398,12 +421,6 @@ int main(int argc, char** argv) {
             return {ControlStatus::kOk,
                     saiyan::obs::chrome_trace_json(
                         saiyan::daemon::kMaxControlPayload - 4096)};
-          case ControlOp::kLinks: {
-            auto q = saiyan::gateway::parse_link_query(req.payload);
-            if (!q.ok()) return {ControlStatus::kError, q.message()};
-            return {ControlStatus::kOk,
-                    saiyan::gateway::links_to_text(gw->links(), q.value())};
-          }
         }
         return {ControlStatus::kError, "unhandled op"};
       });

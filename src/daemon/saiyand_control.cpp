@@ -1,25 +1,24 @@
 // saiyand-control — thin client for the saiyand control socket.
 //
 //   saiyand-control [--socket PATH]
-//                   stats [--json] | reload | drain | health
-//                   | metrics | dump_trace
+//                   stats [--json] | health [--json]
 //                   | links [--json] [--top N] [--sort KEY]
+//                   | metrics | reload | drain | dump_trace
 //
 // Prints the response payload to stdout; exits 0 on an ok status,
 // 1 on a daemon-reported error, 2 on usage/connection problems.
-// `stats --json` and `links --json` reformat the daemon's `key value`
-// lines into one flat JSON object client-side (the wire protocol is
-// unchanged); `metrics` is Prometheus text exposition, `dump_trace`
-// is Chrome trace-event JSON — both pass through verbatim. `links`
-// sorts server-side: --sort frames|snr|last_seen|tag, --top N caps
-// the listing.
+// Options travel as `key=value` tokens in the request payload
+// (--json is format=json, --top N is top=N, --sort KEY is sort=KEY),
+// and the daemon parses them: it renders JSON itself and rejects an
+// option the op does not take, so client and server never disagree
+// on syntax. `metrics` is Prometheus text exposition, `dump_trace`
+// is Chrome trace-event JSON.
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -29,66 +28,8 @@ namespace {
 
 const char kUsage[] =
     "usage: saiyand-control [--socket PATH] "
-    "stats [--json]|reload|drain|health|metrics|dump_trace\n"
+    "stats|health [--json]|reload|drain|metrics|dump_trace\n"
     "       |links [--json] [--top N] [--sort frames|snr|last_seen|tag]\n";
-
-bool is_number(const std::string& s) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  std::strtod(s.c_str(), &end);
-  return errno == 0 && end == s.c_str() + s.size();
-}
-
-void append_json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
-}
-
-/// `key value` lines -> one flat JSON object. Numeric values stay
-/// numeric; anything else (degradation_name) is a JSON string. The
-/// stats dialect guarantees one space between key and value and no
-/// spaces inside keys.
-std::string kv_to_json(const std::string& text) {
-  std::string out = "{";
-  bool first = true;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) eol = text.size();
-    const std::string line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (line.empty()) continue;
-    const std::size_t sp = line.find(' ');
-    if (sp == std::string::npos) continue;  // not key/value; skip
-    const std::string key = line.substr(0, sp);
-    const std::string value = line.substr(sp + 1);
-    if (!first) out += ',';
-    first = false;
-    out += "\n  ";
-    append_json_string(out, key);
-    out += ": ";
-    if (is_number(value)) {
-      out += value;
-    } else {
-      append_json_string(out, value);
-    }
-  }
-  out += "\n}\n";
-  return out;
-}
 
 }  // namespace
 
@@ -96,34 +37,26 @@ int main(int argc, char** argv) {
   using namespace saiyan::daemon;
   std::string socket_path = "/tmp/saiyand.sock";
   std::string command;
-  bool json = false;
-  std::string links_top;
-  std::string links_sort;
+  ControlRequest req;  // options travel as " key=value" payload tokens
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--socket") {
+    if (arg == "--socket" || arg == "--top" || arg == "--sort") {
       if (i + 1 >= argc) {
-        std::fprintf(stderr, "saiyand-control: --socket needs a value\n");
+        std::fprintf(stderr, "saiyand-control: %s needs a value\n",
+                     arg.c_str());
         return 2;
       }
-      socket_path = argv[++i];
+      const std::string value = argv[++i];
+      if (arg == "--socket") {
+        socket_path = value;
+      } else {
+        req.payload += ' ' + arg.substr(2) + '=' + value;
+      }
     } else if (arg == "--help" || arg == "-h") {
       std::fputs(kUsage, stdout);
       return 0;
     } else if (arg == "--json") {
-      json = true;
-    } else if (arg == "--top") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "saiyand-control: --top needs a value\n");
-        return 2;
-      }
-      links_top = argv[++i];
-    } else if (arg == "--sort") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "saiyand-control: --sort needs a value\n");
-        return 2;
-      }
-      links_sort = argv[++i];
+      req.payload += " format=json";
     } else if (command.empty()) {
       command = arg;
     } else {
@@ -133,7 +66,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  ControlRequest req;
   if (command == "stats") {
     req.op = ControlOp::kStats;
   } else if (command == "reload") {
@@ -148,26 +80,8 @@ int main(int argc, char** argv) {
     req.op = ControlOp::kDumpTrace;
   } else if (command == "links") {
     req.op = ControlOp::kLinks;
-    // Options travel as the request payload; the daemon parses (and
-    // rejects) them, so client and server never disagree on syntax.
-    if (!links_top.empty()) req.payload += "top=" + links_top;
-    if (!links_sort.empty()) {
-      if (!req.payload.empty()) req.payload += ' ';
-      req.payload += "sort=" + links_sort;
-    }
   } else {
     std::fputs(kUsage, stderr);
-    return 2;
-  }
-  if (json && req.op != ControlOp::kStats && req.op != ControlOp::kLinks) {
-    std::fprintf(stderr,
-                 "saiyand-control: --json only applies to stats and links\n");
-    return 2;
-  }
-  if ((!links_top.empty() || !links_sort.empty()) &&
-      req.op != ControlOp::kLinks) {
-    std::fprintf(stderr,
-                 "saiyand-control: --top/--sort only apply to links\n");
     return 2;
   }
 
@@ -203,12 +117,7 @@ int main(int argc, char** argv) {
                  resp.value().payload.c_str());
     rc = 1;
   } else {
-    const std::string& payload = resp.value().payload;
-    if (json) {
-      std::fputs(kv_to_json(payload).c_str(), stdout);
-    } else {
-      std::fputs(payload.c_str(), stdout);
-    }
+    std::fputs(resp.value().payload.c_str(), stdout);
     rc = 0;
   }
   ::close(fd);

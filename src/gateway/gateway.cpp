@@ -23,6 +23,7 @@ namespace saiyan::gateway {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using obs::LatencyHistogram;
 
 std::uint64_t us_since(Clock::time_point t0) {
   return static_cast<std::uint64_t>(
@@ -76,7 +77,6 @@ struct DemodKey {
 };
 
 struct LiveStream {
-  StreamId id = 0;
   std::deque<dsp::Signal> chunks;  // guarded by Impl::mu_
   bool closed = false;             // guarded by Impl::mu_
 };
@@ -165,7 +165,6 @@ struct Gateway::Impl {
   bool stop_ = false;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::uint64_t next_job_ = 0;
-  std::uint64_t next_stream_ = 1;
   std::uint64_t rr_ = 0;
   std::unordered_map<StreamId, std::shared_ptr<LiveStream>> streams_;
 
@@ -487,7 +486,7 @@ struct Gateway::Impl {
           std::lock_guard<std::mutex> lk(mu_);
           was_open = !job.stream->closed;
           job.stream->closed = true;
-          streams_.erase(job.stream->id);
+          streams_.erase(job.job_id);
         }
         if (was_open) {
           streams_open.fetch_sub(1, std::memory_order_relaxed);
@@ -509,7 +508,7 @@ struct Gateway::Impl {
     w.ingest_pub.publish(w.ingest);
     {
       std::lock_guard<std::mutex> lk(mu_);
-      streams_.erase(job.stream->id);
+      streams_.erase(job.job_id);
     }
     JobStatus done;
     done.state = JobState::kDone;
@@ -823,16 +822,15 @@ StreamId Gateway::open_stream() {
   Impl::Worker* target;
   {
     std::lock_guard<std::mutex> lk(impl_->mu_);
-    ls->id = impl_->next_stream_++;
-    impl_->streams_.emplace(ls->id, ls);
     job_id = impl_->next_job_++;
+    impl_->streams_.emplace(job_id, ls);
     target = impl_->workers_[impl_->rr_++ % impl_->workers_.size()].get();
     target->jobs.push_back(StreamJob{job_id, ls});
   }
   impl_->jobs_enqueued.fetch_add(1, std::memory_order_relaxed);
   impl_->streams_open.fetch_add(1, std::memory_order_relaxed);
   target->cv.notify_all();
-  return ls->id;
+  return job_id;
 }
 
 saiyan::Result<Unit> Gateway::push(StreamId stream,
@@ -1034,7 +1032,7 @@ GatewayStats Gateway::stats() const {
   s.stages.reserve(obs::kStageCount);
   for (std::size_t i = 0; i < obs::kStageCount; ++i) {
     const auto stage = static_cast<obs::Stage>(i);
-    const obs::LatencyHistogram& h = im.stage_metrics_.histogram(stage);
+    const LatencyHistogram& h = im.stage_metrics_.histogram(stage);
     StageLatencySnapshot st;
     st.stage = obs::to_string(stage);
     h.snapshot_counts(st.buckets);

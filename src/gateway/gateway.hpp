@@ -116,8 +116,9 @@ class Gateway {
   saiyan::Result<std::uint64_t> enqueue_trace(const std::string& path);
 
   /// Open a live sample stream (socket ingest, in-process feeding).
-  /// The stream is pinned to one worker; its frames carry the returned
-  /// id in FrameRecord::job. Decoding uses the configured
+  /// The stream is pinned to one worker. The returned id is the
+  /// stream's job id: its frames carry it in FrameRecord::job and
+  /// job_status() reports on it. Decoding uses the configured
   /// stream.saiyan PHY.
   StreamId open_stream();
 
@@ -169,7 +170,7 @@ class Gateway {
   /// Full link-telescope registry snapshot (per-tag/channel rolling
   /// windows + noise floor); readers never block workers. Empty when
   /// cfg.link.enabled is false. The `links` control op serves this
-  /// through links_to_text().
+  /// through describe_links() (gateway_metrics.hpp).
   obs::LinkRegistrySnapshot links() const;
 
   const GatewayConfig& config() const;

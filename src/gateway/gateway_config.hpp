@@ -17,13 +17,9 @@
 // config-file error points at a line, not at a stack trace from
 // whichever layer noticed three calls later.
 //
-// Deprecated aliases (one release): the SIC load-shedding knobs grew
-// up inside sic::SicConfig (stream.sic.shed_queue /
-// stream.sic.max_rescan_queue) but are gateway overload policy, not
-// cancellation policy — their canonical home is now GatewayLimits.
-// The old fields still work: worker_stream_config() folds them in, and
-// validate() rejects a config that sets both spellings to different
-// values instead of silently picking one.
+// SIC load shedding is set in one place, stream.sic.shed_queue and
+// stream.sic.max_rescan_queue: the streaming demodulator reads them
+// there, for gateway workers and standalone users alike.
 #pragma once
 
 #include <atomic>
@@ -45,13 +41,6 @@ struct GatewayLimits {
   /// that subscriber (IngestStats::frames_dropped_subscriber). A slow
   /// consumer sheds its own frames; it never stalls a worker.
   std::size_t subscriber_queue = 256;
-  /// Canonical home of stream.sic.shed_queue (deprecated alias): skip
-  /// SIC cancellation when the rescan backlog reaches this depth.
-  /// 0 = never shed.
-  std::size_t sic_shed_queue = 0;
-  /// Canonical home of stream.sic.max_rescan_queue (deprecated alias):
-  /// hard cap on queued rescan regions. 0 = unbounded.
-  std::size_t sic_max_rescan_queue = 0;
 };
 
 /// Watchdog: liveness supervision of the worker pool. A worker beats a
@@ -160,9 +149,8 @@ struct GatewayConfig {
   /// bad field by its dotted path.
   saiyan::Result<Unit> validate() const;
 
-  /// The per-worker stream config with the deprecated SIC-shedding
-  /// aliases folded into their canonical GatewayLimits values.
-  stream::StreamConfig worker_stream_config() const;
+  /// The stream config every worker's demodulator runs with.
+  stream::StreamConfig worker_stream_config() const { return stream; }
 };
 
 }  // namespace saiyan::gateway

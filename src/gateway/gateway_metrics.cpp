@@ -1,208 +1,362 @@
 #include "gateway/gateway_metrics.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
+#include <sstream>
+#include <tuple>
 #include <vector>
-
-#include "obs/prometheus.hpp"
 
 namespace saiyan::gateway {
 
 namespace {
 
-void counter(obs::PromWriter& w, const char* name, const char* help,
-             std::uint64_t v) {
-  w.family(name, help, "counter");
-  w.sample(name, {}, v);
+using obs::Kind;
+using obs::Metric;
+
+// Fields that `stats` and `health` both carry.
+constexpr Metric kUptime{"uptime_s", "saiyan_uptime_seconds", Kind::kGauge,
+                         "Seconds since gateway start"};
+constexpr Metric kDegradationLevel{
+    "degradation_level", "saiyan_degradation_level", Kind::kGauge,
+    "Current degradation ladder rung (0=healthy)"};
+constexpr Metric kDegradationTransitions{
+    "degradation_transitions", "saiyan_degradation_transitions_total",
+    Kind::kCounter, "Degradation ladder level changes"};
+constexpr Metric kWatchdogCancels{"watchdog_cancels",
+                                  "saiyan_watchdog_cancels_total",
+                                  Kind::kCounter,
+                                  "Jobs cancelled for a missed heartbeat"};
+constexpr Metric kDeadlineCancels{"deadline_cancels",
+                                  "saiyan_deadline_cancels_total",
+                                  Kind::kCounter,
+                                  "Jobs cancelled for a blown deadline"};
+constexpr Metric kRescanBacklog{"rescan_backlog"};
+
+// Labeled families over parts that may be empty: declared up front so
+// their HELP and TYPE show even with no stage, worker or link yet.
+constexpr Metric kStageLatency{{}, "saiyan_stage_latency_microseconds",
+                               Kind::kHistogram,
+                               "Per-stage pipeline latency"};
+constexpr Metric kStageSaturated{
+    "saturated", "saiyan_stage_latency_saturated_total", Kind::kCounter,
+    "Per-stage samples in the open-ended histogram bucket"};
+constexpr Metric kWorkerFrames{"frames", "saiyan_worker_frames_total",
+                               Kind::kCounter, "Frames decoded per worker"};
+constexpr Metric kWorkerJobs{"jobs", "saiyan_worker_jobs_total",
+                             Kind::kCounter, "Jobs completed per worker"};
+constexpr Metric kLinkFrames{
+    {}, "saiyan_link_frames_total", Kind::kCounter,
+    "Frames decoded per link (top-K by frames; rest in tag=\"other\")"};
+constexpr Metric kLinkSnr{{}, "saiyan_link_snr_db", Kind::kGauge,
+                          "EWMA frame SNR per link (top-K by frames)"};
+
+void worker_part(obs::FieldList& out, std::size_t i) {
+  const std::string n = std::to_string(i);
+  out.part("worker." + n + ".", "worker=\"" + n + "\"");
 }
 
-void gauge_u(obs::PromWriter& w, const char* name, const char* help,
-             std::uint64_t v) {
-  w.family(name, help, "gauge");
-  w.sample(name, {}, v);
+void link_part(obs::FieldList& out, const obs::LinkSnapshot& l) {
+  const std::string t = std::to_string(l.tag_id);
+  const std::string c = std::to_string(l.channel);
+  out.part("link." + t + "." + c + ".",
+           "tag=\"" + t + "\",channel=\"" + c + "\"");
+}
+
+/// The merged ingest counters (IngestStats::counters()) and rejection
+/// classes.
+void describe_ingest(const stream::IngestStats& s, obs::FieldList& out) {
+  out.part("ingest.");
+  for (const auto& [name, member] : stream::IngestStats::counters()) {
+    out.add({name, "saiyan_ingest_events_total", Kind::kCounter,
+             "Ingest recovery and shedding events by kind"},
+            s.*member, "kind=\"" + std::string(name) + '"');
+  }
+  out.add({"total_errors"}, s.total_errors());
+  out.part();
+  for (std::size_t i = 1; i < s.errors.size(); ++i) {
+    const auto err = static_cast<stream::IngestError>(i);
+    out.add({{}, "saiyan_ingest_errors_total", Kind::kCounter,
+             "Rejected input by classification"},
+            s.errors[i],
+            "class=\"" + std::string(stream::to_string(err)) + '"');
+  }
+}
+
+/// Registry summary shared by `stats` and `links`.
+void describe_registry(const obs::LinkRegistrySnapshot& r,
+                       obs::FieldList& out) {
+  out.add({"links_tracked", "saiyan_links_tracked", Kind::kGauge,
+           "Distinct tag/channel links in the registry"},
+          std::uint64_t{r.links.size()});
+  out.add({"link_evictions", "saiyan_link_evictions_total", Kind::kCounter,
+           "Links LRU-evicted from the bounded registry"},
+          r.evictions);
+  if (r.noise_floor_valid) out.add({"noise_floor_dbm"}, r.noise_floor_dbm);
+  out.add({{}, "saiyan_noise_floor_valid", Kind::kGauge,
+           "1 once an idle-air noise estimate exists"},
+          std::uint64_t{r.noise_floor_valid});
+  out.add({{}, "saiyan_noise_floor_db", Kind::kGauge,
+           "Rolling idle-air noise floor, dBm (-200 until valid)"},
+          r.noise_floor_valid ? r.noise_floor_dbm
+                              : obs::LinkTelemetry::kNoFloorDbm);
+}
+
+std::vector<const obs::LinkSnapshot*> order_links(
+    const obs::LinkRegistrySnapshot& snap, const LinkQuery& q) {
+  // By the sort field (frames and last seen descending, SNR ascending:
+  // worst first), then tag and channel.
+  const auto key = [&q](const obs::LinkSnapshot* l) {
+    using Sort = LinkQuery::Sort;
+    const double k = q.sort == Sort::kFrames ? -static_cast<double>(l->frames)
+                     : q.sort == Sort::kSnr  ? l->ewma_snr_db
+                     : q.sort == Sort::kLastSeen
+                         ? -static_cast<double>(l->last_seen_us)
+                         : 0.0;
+    return std::tuple(k, l->tag_id, l->channel);
+  };
+  std::vector<const obs::LinkSnapshot*> order;
+  for (const obs::LinkSnapshot& l : snap.links) order.push_back(&l);
+  std::sort(order.begin(), order.end(),
+            [&](const obs::LinkSnapshot* a, const obs::LinkSnapshot* b) {
+              return key(a) < key(b);
+            });
+  if (q.top != 0 && order.size() > q.top) order.resize(q.top);
+  return order;
 }
 
 }  // namespace
 
-std::string to_prometheus(const GatewayStats& s) {
-  obs::PromWriter w;
+saiyan::Result<ReadoutQuery> parse_readout_query(std::string_view text,
+                                                 bool links) {
+  ReadoutQuery q;
+  std::istringstream in{std::string(text)};
+  for (std::string tok; in >> tok;) {
+    const std::size_t eq = tok.find('=');
+    if (eq == std::string::npos) {
+      return saiyan::Error{"expected key=value, got '" + tok + "'"};
+    }
+    const std::string key = tok.substr(0, eq);
+    const std::string val = tok.substr(eq + 1);
+    if (key == "format") {
+      if (val != "text" && val != "json") {
+        return saiyan::Error{"unknown format '" + val + "' (text|json)"};
+      }
+      q.format = val == "json" ? obs::Format::kJson : obs::Format::kText;
+    } else if (links && key == "top") {
+      const auto [ptr, ec] =
+          std::from_chars(val.data(), val.data() + val.size(), q.links.top);
+      if (ec != std::errc{} || ptr != val.data() + val.size()) {
+        return saiyan::Error{"bad top '" + val + "'"};
+      }
+    } else if (links && key == "sort") {
+      if (val == "frames") {
+        q.links.sort = LinkQuery::Sort::kFrames;
+      } else if (val == "snr") {
+        q.links.sort = LinkQuery::Sort::kSnr;
+      } else if (val == "last_seen") {
+        q.links.sort = LinkQuery::Sort::kLastSeen;
+      } else if (val == "tag") {
+        q.links.sort = LinkQuery::Sort::kTag;
+      } else {
+        return saiyan::Error{"unknown sort '" + val +
+                             "' (frames|snr|last_seen|tag)"};
+      }
+    } else {
+      return saiyan::Error{"unknown option '" + key + "'" +
+                           (links ? " (format, top, sort)" : " (format)")};
+    }
+  }
+  return q;
+}
 
-  w.family("saiyan_uptime_seconds", "Seconds since gateway start", "gauge");
-  w.sample("saiyan_uptime_seconds", {}, s.uptime_s);
-  gauge_u(w, "saiyan_workers", "Demodulation worker threads",
-          static_cast<std::uint64_t>(s.workers));
-  gauge_u(w, "saiyan_subscribers", "Registered frame subscribers",
-          static_cast<std::uint64_t>(s.subscribers));
-  gauge_u(w, "saiyan_streams_open", "Live push-streams not yet closed",
-          s.streams_open);
-  gauge_u(w, "saiyan_degradation_level",
-          "Current degradation ladder rung (0=healthy)",
-          s.degradation_level);
-
-  counter(w, "saiyan_jobs_enqueued_total", "Jobs accepted", s.jobs_enqueued);
-  counter(w, "saiyan_jobs_done_total", "Jobs completed", s.jobs_done);
-  counter(w, "saiyan_jobs_failed_total", "Jobs failed or cancelled",
+void describe(const GatewayStats& s, obs::FieldList& out) {
+  out.add(kUptime, s.uptime_s);
+  out.add({"workers", "saiyan_workers", Kind::kGauge,
+           "Demodulation worker threads"},
+          std::uint64_t{s.workers});
+  out.add({"subscribers", "saiyan_subscribers", Kind::kGauge,
+           "Registered frame subscribers"},
+          std::uint64_t{s.subscribers});
+  out.add({"jobs_enqueued", "saiyan_jobs_enqueued_total", Kind::kCounter,
+           "Jobs accepted"},
+          s.jobs_enqueued);
+  out.add({"jobs_done", "saiyan_jobs_done_total", Kind::kCounter,
+           "Jobs completed"},
+          s.jobs_done);
+  out.add({"jobs_failed", "saiyan_jobs_failed_total", Kind::kCounter,
+           "Jobs failed or cancelled"},
           s.jobs_failed);
-  counter(w, "saiyan_config_reloads_total", "Config reloads applied",
+  out.add({"streams_open", "saiyan_streams_open", Kind::kGauge,
+           "Live push-streams not yet closed"},
+          s.streams_open);
+  out.add({"config_reloads", "saiyan_config_reloads_total", Kind::kCounter,
+           "Config reloads applied"},
           s.config_reloads);
-  counter(w, "saiyan_frames_decoded_total", "Frames decoded",
+  out.add({"frames_decoded", "saiyan_frames_decoded_total", Kind::kCounter,
+           "Frames decoded"},
           s.frames_decoded);
-  counter(w, "saiyan_symbols_decoded_total", "Payload symbols decoded",
+  out.add({"symbols_decoded", "saiyan_symbols_decoded_total", Kind::kCounter,
+           "Payload symbols decoded"},
           s.symbols_decoded);
-  counter(w, "saiyan_truncated_frames_total",
-          "Frames cut off by capture end", s.truncated_frames);
-  counter(w, "saiyan_samples_consumed_total", "IQ samples consumed",
+  out.add({"truncated_frames", "saiyan_truncated_frames_total",
+           Kind::kCounter, "Frames cut off by capture end"},
+          s.truncated_frames);
+  out.add({"samples_consumed", "saiyan_samples_consumed_total",
+           Kind::kCounter, "IQ samples consumed"},
           s.samples_consumed);
-  counter(w, "saiyan_chunks_ingested_total", "Capture chunks ingested",
+  out.add({"chunks_ingested", "saiyan_chunks_ingested_total", Kind::kCounter,
+           "Capture chunks ingested"},
           s.chunks_ingested);
-  counter(w, "saiyan_markers_expected_total",
-          "Ground-truth frames promised by enqueued trace markers",
+  out.add({"markers_expected", "saiyan_markers_expected_total",
+           Kind::kCounter,
+           "Ground-truth frames promised by enqueued trace markers"},
           s.markers_expected);
-  counter(w, "saiyan_watchdog_cancels_total",
-          "Jobs cancelled for a missed heartbeat", s.watchdog_cancels);
-  counter(w, "saiyan_deadline_cancels_total",
-          "Jobs cancelled for a blown deadline", s.deadline_cancels);
-  counter(w, "saiyan_degradation_transitions_total",
-          "Degradation ladder level changes", s.degradation_transitions);
+  out.add({"frames_per_sec"}, s.frames_per_sec);
+  out.add({"msamples_per_sec"}, s.msamples_per_sec);
 
-  // Ingest health: event counters as one labeled family, rejection
-  // classes as another (label values are the enum's to_string names).
-  const char* kEvents = "saiyan_ingest_events_total";
-  w.family(kEvents, "Ingest recovery and shedding events by kind",
-           "counter");
-  w.sample(kEvents, "kind=\"chunks_ok\"", s.ingest.chunks_ok);
-  w.sample(kEvents, "kind=\"chunks_corrupt\"", s.ingest.chunks_corrupt);
-  w.sample(kEvents, "kind=\"resyncs\"", s.ingest.resyncs);
-  w.sample(kEvents, "kind=\"bytes_skipped\"", s.ingest.bytes_skipped);
-  w.sample(kEvents, "kind=\"samples_lost\"", s.ingest.samples_lost);
-  w.sample(kEvents, "kind=\"gaps\"", s.ingest.gaps);
-  w.sample(kEvents, "kind=\"gap_samples\"", s.ingest.gap_samples);
-  w.sample(kEvents, "kind=\"spans_dropped\"", s.ingest.spans_dropped);
-  w.sample(kEvents, "kind=\"sic_shed\"", s.ingest.sic_shed);
-  w.sample(kEvents, "kind=\"rescans_dropped\"", s.ingest.rescans_dropped);
-  w.sample(kEvents, "kind=\"rescans_expired\"", s.ingest.rescans_expired);
-  w.sample(kEvents, "kind=\"spans_shed\"", s.ingest.spans_shed);
-  w.sample(kEvents, "kind=\"frames_dropped_subscriber\"",
-           s.ingest.frames_dropped_subscriber);
-  w.sample(kEvents, "kind=\"jobs_cancelled\"", s.ingest.jobs_cancelled);
-
-  const char* kErrors = "saiyan_ingest_errors_total";
-  w.family(kErrors, "Rejected input by classification", "counter");
-  for (std::size_t i = 1;
-       i < static_cast<std::size_t>(stream::IngestError::kCount); ++i) {
-    const auto err = static_cast<stream::IngestError>(i);
-    char labels[64];
-    std::snprintf(labels, sizeof(labels), "class=\"%s\"",
-                  stream::to_string(err));
-    w.sample(kErrors, labels, s.ingest.error_count(err));
-  }
-
-  w.family("saiyan_frame_latency_microseconds",
-           "Chunk-arrival to frame-decode latency", "histogram");
-  w.histogram("saiyan_frame_latency_microseconds", {}, s.latency_buckets,
-              s.latency_sum_us);
-
-  const char* kStage = "saiyan_stage_latency_microseconds";
-  w.family(kStage, "Per-stage pipeline latency", "histogram");
-  for (const StageLatencySnapshot& st : s.stages) {
-    char labels[64];
-    std::snprintf(labels, sizeof(labels), "stage=\"%s\"", st.stage);
-    w.histogram(kStage, labels, st.buckets, st.sum_us);
-  }
-
-  counter(w, "saiyan_frame_latency_saturated_total",
-          "Chunk-to-frame samples in the open-ended histogram bucket "
-          "(nonzero means quantiles clamp low)",
+  out.add({"latency_p50_us"}, s.latency_p50_us);
+  out.add({"latency_p99_us"}, s.latency_p99_us);
+  out.add({"latency_max_us"}, s.latency_max_us);
+  out.add({"latency_count"}, s.latency_count);
+  out.add({"latency_sum_us"}, s.latency_sum_us);
+  out.add({"latency_saturated", "saiyan_frame_latency_saturated_total",
+           Kind::kCounter,
+           "Chunk-to-frame samples in the open-ended histogram bucket "
+           "(nonzero means quantiles clamp low)"},
           s.latency_saturated);
-  const char* kStageSat = "saiyan_stage_latency_saturated_total";
-  w.family(kStageSat,
-           "Per-stage samples in the open-ended histogram bucket",
-           "counter");
+  out.add({{}, "saiyan_frame_latency_microseconds", Kind::kHistogram,
+           "Chunk-arrival to frame-decode latency"},
+          obs::HistogramValue{
+              {s.latency_buckets.begin(), s.latency_buckets.end()},
+              s.latency_sum_us});
+
+  out.add(kStageLatency, {});
+  out.add(kStageSaturated, {});
   for (const StageLatencySnapshot& st : s.stages) {
-    char labels[64];
-    std::snprintf(labels, sizeof(labels), "stage=\"%s\"", st.stage);
-    w.sample(kStageSat, labels, st.saturated);
+    const std::string name = st.stage;
+    out.part("stage." + name + ".", "stage=\"" + name + "\"");
+    out.add({"count"}, st.count);
+    out.add({"sum_us"}, st.sum_us);
+    out.add({"p50_us"}, st.p50_us);
+    out.add({"p99_us"}, st.p99_us);
+    out.add({"max_us"}, st.max_us);
+    out.add(kStageSaturated, st.saturated);
+    out.add(kStageLatency, obs::HistogramValue{
+                               {st.buckets.begin(), st.buckets.end()},
+                               st.sum_us});
   }
+  out.part();
 
-  counter(w, "saiyan_trace_events_dropped_total",
-          "Flight-recorder events overwritten before a dump",
-          s.trace_events_dropped);
-
-  // Link telescope. Per-link series are capped at link.prom_top_k
-  // busiest links (scrape cardinality bound); everything past the cap
-  // folds into tag="other" so frame totals still sum correctly.
-  gauge_u(w, "saiyan_links_tracked",
-          "Distinct tag/channel links in the registry",
-          static_cast<std::uint64_t>(s.links.links.size()));
-  counter(w, "saiyan_link_evictions_total",
-          "Links LRU-evicted from the bounded registry",
-          s.links.evictions);
-  w.family("saiyan_noise_floor_valid",
-           "1 once an idle-air noise estimate exists", "gauge");
-  w.sample("saiyan_noise_floor_valid", {},
-           std::uint64_t{s.links.noise_floor_valid ? 1u : 0u});
-  w.family("saiyan_noise_floor_db",
-           "Rolling idle-air noise floor, dBm (-200 until valid)",
-           "gauge");
-  w.sample("saiyan_noise_floor_db", {},
-           s.links.noise_floor_valid ? s.links.noise_floor_dbm : -200.0);
-
-  std::vector<const obs::LinkSnapshot*> busiest;
-  busiest.reserve(s.links.links.size());
-  for (const obs::LinkSnapshot& l : s.links.links) busiest.push_back(&l);
-  std::stable_sort(busiest.begin(), busiest.end(),
-                   [](const obs::LinkSnapshot* a, const obs::LinkSnapshot* b) {
-                     if (a->frames != b->frames) return a->frames > b->frames;
-                     return a->tag_id != b->tag_id ? a->tag_id < b->tag_id
-                                                   : a->channel < b->channel;
-                   });
-  const std::size_t top =
-      std::min(s.link_top_k, busiest.size());
-  const char* kLinkFrames = "saiyan_link_frames_total";
-  w.family(kLinkFrames,
-           "Frames decoded per link (top-K by frames; rest in "
-           "tag=\"other\")",
-           "counter");
-  char labels[64];
+  // Link telescope. Per-link series are capped at the link_top_k
+  // busiest links (scrape cardinality bound); the rest fold into
+  // tag="other", always present, so frame totals still sum correctly.
+  describe_registry(s.links, out);
+  out.add({"link_frames_total"}, s.links.frames_total);
+  out.add(kLinkFrames, {});
+  out.add(kLinkSnr, {});
   std::uint64_t other = 0;
+  const auto busiest = order_links(s.links, LinkQuery{});
   for (std::size_t i = 0; i < busiest.size(); ++i) {
-    if (i < top) {
-      std::snprintf(labels, sizeof(labels), "tag=\"%lu\",channel=\"%lu\"",
-                    static_cast<unsigned long>(busiest[i]->tag_id),
-                    static_cast<unsigned long>(busiest[i]->channel));
-      w.sample(kLinkFrames, labels, busiest[i]->frames);
+    if (i < s.link_top_k) {
+      link_part(out, *busiest[i]);
+      out.add(kLinkFrames, busiest[i]->frames);
+      out.add(kLinkSnr, busiest[i]->ewma_snr_db);
     } else {
       other += busiest[i]->frames;
     }
   }
-  // Always emitted so the family is never sample-less and sums stay
-  // complete even when every link fits in the top-K budget.
-  w.sample(kLinkFrames, "tag=\"other\",channel=\"all\"", other);
-  const char* kLinkSnr = "saiyan_link_snr_db";
-  w.family(kLinkSnr, "EWMA frame SNR per link (top-K by frames)", "gauge");
-  for (std::size_t i = 0; i < top; ++i) {
-    std::snprintf(labels, sizeof(labels), "tag=\"%lu\",channel=\"%lu\"",
-                  static_cast<unsigned long>(busiest[i]->tag_id),
-                  static_cast<unsigned long>(busiest[i]->channel));
-    w.sample(kLinkSnr, labels, busiest[i]->ewma_snr_db);
-  }
+  out.part();
+  out.add(kLinkFrames, other, "tag=\"other\",channel=\"all\"");
 
-  const char* kWFrames = "saiyan_worker_frames_total";
-  w.family(kWFrames, "Frames decoded per worker", "counter");
-  for (std::size_t i = 0; i < s.per_worker.size(); ++i) {
-    char labels[32];
-    std::snprintf(labels, sizeof(labels), "worker=\"%zu\"", i);
-    w.sample(kWFrames, labels, s.per_worker[i].frames);
-  }
-  const char* kWJobs = "saiyan_worker_jobs_total";
-  w.family(kWJobs, "Jobs completed per worker", "counter");
-  for (std::size_t i = 0; i < s.per_worker.size(); ++i) {
-    char labels[32];
-    std::snprintf(labels, sizeof(labels), "worker=\"%zu\"", i);
-    w.sample(kWJobs, labels, s.per_worker[i].jobs);
-  }
+  out.add({"trace_events_dropped", "saiyan_trace_events_dropped_total",
+           Kind::kCounter, "Flight-recorder events overwritten before a dump"},
+          s.trace_events_dropped);
+  out.add(kWatchdogCancels, s.watchdog_cancels);
+  out.add(kDeadlineCancels, s.deadline_cancels);
+  out.add(kDegradationLevel, std::uint64_t{s.degradation_level});
+  out.add(kDegradationTransitions, s.degradation_transitions);
 
-  return w.str();
+  describe_ingest(s.ingest, out);
+
+  out.add(kWorkerFrames, {});
+  out.add(kWorkerJobs, {});
+  for (std::size_t i = 0; i < s.per_worker.size(); ++i) {
+    const WorkerSnapshot& w = s.per_worker[i];
+    worker_part(out, i);
+    out.add(kWorkerFrames, w.frames);
+    out.add({"symbols"}, w.symbols);
+    out.add({"samples"}, w.samples);
+    out.add({"chunks"}, w.chunks);
+    out.add(kWorkerJobs, w.jobs);
+    out.add({"truncated"}, w.truncated);
+  }
+}
+
+void describe(const GatewayHealth& h, obs::FieldList& out) {
+  out.add(kUptime, h.uptime_s);
+  out.add({"config_generation"}, h.config_generation);
+  out.add(kDegradationLevel, std::uint64_t{h.degradation_level});
+  out.add({"degradation_name"}, h.degradation_name);
+  out.add(kDegradationTransitions, h.degradation_transitions);
+  out.add(kWatchdogCancels, h.watchdog_cancels);
+  out.add(kDeadlineCancels, h.deadline_cancels);
+  out.add({"jobs_cancelled"}, h.jobs_cancelled);
+  out.add(kRescanBacklog, h.rescan_backlog);
+  out.add({"window_p99_us"}, h.window_p99_us);
+  for (std::size_t i = 0; i < h.workers.size(); ++i) {
+    const WorkerHealth& w = h.workers[i];
+    worker_part(out, i);
+    out.add({"busy"}, std::uint64_t{w.busy});
+    out.add({"job"}, w.job);
+    out.add({"job_age_ms"}, w.job_age_ms);
+    out.add({"heartbeat_age_ms"}, w.heartbeat_age_ms);
+    out.add({"cancels"}, w.cancels);
+    out.add(kRescanBacklog, w.rescan_backlog);
+    out.add({"jobs_completed"}, w.jobs_completed);
+  }
+}
+
+void describe_links(const obs::LinkRegistrySnapshot& snap,
+                    const LinkQuery& q, obs::FieldList& out) {
+  const auto order = order_links(snap, q);
+  describe_registry(snap, out);
+  out.add({"links_listed"}, std::uint64_t{order.size()});
+  out.add({"link_capacity"}, std::uint64_t{snap.capacity});
+  out.add({"frames_total"}, snap.frames_total);
+  for (const obs::LinkSnapshot* l : order) {
+    link_part(out, *l);
+    out.add({"frames"}, l->frames);
+    out.add({"collided"}, l->collided_frames);
+    out.add({"sic_rescued"}, l->sic_rescued);
+    out.add({"lost"}, l->lost_frames);
+    out.add({"snr_db"}, l->ewma_snr_db);
+    out.add({"cfo_hz"}, l->ewma_cfo_hz);
+    out.add({"timing"}, l->ewma_timing);
+    out.add({"margin"}, l->ewma_margin);
+    out.add({"latency_us"}, l->ewma_latency_us);
+    out.add({"last_snr_db"}, l->last_snr_db);
+    out.add({"last_seen_us"}, l->last_seen_us);
+    out.add({"last_packet_start"}, l->last_packet_start);
+  }
+}
+
+std::string GatewayStats::to_text() const {
+  return obs::render(*this, obs::Format::kText);
+}
+
+std::string GatewayHealth::to_text() const {
+  return obs::render(*this, obs::Format::kText);
+}
+
+std::string to_prometheus(const GatewayStats& s) {
+  return obs::render(s, obs::Format::kPrometheus);
+}
+
+std::string links_to_text(const obs::LinkRegistrySnapshot& snap,
+                          const LinkQuery& q) {
+  obs::FieldList list;
+  describe_links(snap, q, list);
+  return obs::render(list, obs::Format::kText);
 }
 
 }  // namespace saiyan::gateway

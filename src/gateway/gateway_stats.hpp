@@ -24,21 +24,14 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "core/result.hpp"
 #include "obs/latency_histogram.hpp"
 #include "obs/link_telemetry.hpp"
 #include "obs/stage_metrics.hpp"
 #include "stream/ingest_stats.hpp"
 
 namespace saiyan::gateway {
-
-/// Log2-bucketed wait-free latency histogram, promoted to src/obs/ so
-/// the per-stage pipeline timers and the Prometheus exporter can share
-/// it. The alias keeps the historical gateway-side name alive.
-using LatencyHistogram = obs::LatencyHistogram;
 
 /// Single-writer seqlock publishing a composite stats block to
 /// concurrent snapshot readers without making the writer wait.
@@ -166,35 +159,10 @@ struct GatewayStats {
   /// (GatewayConfig::link.prom_top_k).
   std::size_t link_top_k = 10;
 
-  /// Serialize as `key value` lines — the control protocol's stats
-  /// payload (documented in docs/GATEWAY.md).
+  /// `key value` lines of describe() in gateway_metrics.hpp — the
+  /// `stats` payload (documented in docs/GATEWAY.md).
   std::string to_text() const;
 };
-
-/// Ordering/limit options for the `links` control op.
-struct LinkQuery {
-  enum class Sort {
-    kFrames,    ///< busiest first
-    kSnr,       ///< worst EWMA SNR first (triage order)
-    kLastSeen,  ///< most recently seen first
-    kTag,       ///< tag id, then channel
-  };
-  Sort sort = Sort::kFrames;
-  std::size_t top = 0;  ///< 0 = all links
-};
-
-/// Parse a `links` op request payload: whitespace-separated
-/// "top=N sort=frames|snr|last_seen|tag" tokens (both optional; empty
-/// payload = defaults). Unknown keys/values are an error — the daemon
-/// answers kError with the message.
-saiyan::Result<LinkQuery> parse_link_query(std::string_view text);
-
-/// Serialize a registry snapshot as `key value` lines: global counters
-/// (links_tracked, link_evictions, frames_total, noise_floor_dbm) then
-/// per-link `link.<tag>.<channel>.<field>` lines ordered/limited per
-/// `q` — the `links` op payload (same dialect as GatewayStats).
-std::string links_to_text(const obs::LinkRegistrySnapshot& snap,
-                          const LinkQuery& q = {});
 
 /// Liveness view of one worker, for the `health` op.
 struct WorkerHealth {
@@ -224,7 +192,8 @@ struct GatewayHealth {
   std::uint64_t window_p99_us = 0;    ///< controller's last windowed p99
   std::vector<WorkerHealth> workers;
 
-  /// `key value` lines, same dialect as GatewayStats::to_text().
+  /// `key value` lines of describe() in gateway_metrics.hpp — the
+  /// `health` payload.
   std::string to_text() const;
 };
 

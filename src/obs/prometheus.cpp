@@ -68,7 +68,7 @@ void PromWriter::sample(std::string_view name, std::string_view labels,
 
 void PromWriter::histogram(
     std::string_view name, std::string_view labels,
-    const std::array<std::uint64_t, LatencyHistogram::kBuckets>& counts,
+    std::span<const std::uint64_t, LatencyHistogram::kBuckets> counts,
     std::uint64_t sum_us) {
   std::string bucket_name(name);
   bucket_name += "_bucket";

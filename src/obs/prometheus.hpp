@@ -9,8 +9,8 @@
 // any of its samples, all samples of a family contiguous.
 #pragma once
 
-#include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -39,8 +39,8 @@ class PromWriter {
   /// boundary (le = bucket upper edge in µs, last is +Inf), then
   /// `_sum` (µs) and `_count`.
   void histogram(std::string_view name, std::string_view labels,
-                 const std::array<std::uint64_t,
-                                  LatencyHistogram::kBuckets>& counts,
+                 std::span<const std::uint64_t, LatencyHistogram::kBuckets>
+                     counts,
                  std::uint64_t sum_us);
 
   const std::string& str() const { return out_; }

@@ -18,6 +18,7 @@
 
 #include <array>
 #include <cstdint>
+#include <utility>
 
 namespace saiyan::stream {
 
@@ -98,22 +99,33 @@ struct IngestStats {
            frames_dropped_subscriber == 0 && jobs_cancelled == 0;
   }
 
+  /// The event counters, each listed once: the name is the
+  /// `ingest.<name>` stats key and the `kind` label of
+  /// saiyan_ingest_events_total, and merge() sums every counter here.
+  static constexpr auto counters() {
+    using C = std::pair<const char*, std::uint64_t IngestStats::*>;
+    return std::array{
+        C{"chunks_ok", &IngestStats::chunks_ok},
+        C{"chunks_corrupt", &IngestStats::chunks_corrupt},
+        C{"resyncs", &IngestStats::resyncs},
+        C{"bytes_skipped", &IngestStats::bytes_skipped},
+        C{"samples_lost", &IngestStats::samples_lost},
+        C{"gaps", &IngestStats::gaps},
+        C{"gap_samples", &IngestStats::gap_samples},
+        C{"spans_dropped", &IngestStats::spans_dropped},
+        C{"sic_shed", &IngestStats::sic_shed},
+        C{"rescans_dropped", &IngestStats::rescans_dropped},
+        C{"rescans_expired", &IngestStats::rescans_expired},
+        C{"spans_shed", &IngestStats::spans_shed},
+        C{"frames_dropped_subscriber",
+          &IngestStats::frames_dropped_subscriber},
+        C{"jobs_cancelled", &IngestStats::jobs_cancelled},
+    };
+  }
+
   /// Fold another layer's (or shard's) counters into this one.
   void merge(const IngestStats& other) {
-    chunks_ok += other.chunks_ok;
-    chunks_corrupt += other.chunks_corrupt;
-    resyncs += other.resyncs;
-    bytes_skipped += other.bytes_skipped;
-    samples_lost += other.samples_lost;
-    gaps += other.gaps;
-    gap_samples += other.gap_samples;
-    spans_dropped += other.spans_dropped;
-    sic_shed += other.sic_shed;
-    rescans_dropped += other.rescans_dropped;
-    rescans_expired += other.rescans_expired;
-    spans_shed += other.spans_shed;
-    frames_dropped_subscriber += other.frames_dropped_subscriber;
-    jobs_cancelled += other.jobs_cancelled;
+    for (const auto& c : counters()) this->*c.second += other.*c.second;
     for (std::size_t i = 0; i < errors.size(); ++i) errors[i] += other.errors[i];
     if (other.last_error != IngestError::kNone) last_error = other.last_error;
   }

@@ -123,10 +123,11 @@ class TraceWriter {
   /// of being overwritten by the close path.
   saiyan::Result<Unit> finish();
 
-  /// Nothrow close for destructor paths. Returns false on I/O failure,
-  /// with the description recorded in last_error(). Same idempotence
-  /// and stickiness as finish(); prefer finish() at call sites — this
-  /// bool form survives one release as a thin alias.
+  /// The `noexcept` close primitive that close() and finish() build
+  /// on, and the one the destructor and SegmentedTraceWriter use,
+  /// since finish() can allocate. Returns false on I/O failure, with
+  /// the description recorded in last_error(). Same idempotence and
+  /// stickiness as finish(), which callers that want an Error prefer.
   bool try_close() noexcept;
 
   /// Description of the *first* I/O failure ("" when every write and

@@ -9,6 +9,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "obs/metric_schema.hpp"
+
 namespace saiyan::stream {
 
 namespace {
@@ -51,13 +53,6 @@ bool parse_segment_name(const std::string& name, std::uint64_t& index,
   }
   index = v;
   return true;
-}
-
-void line(std::string& out, const char* key, std::uint64_t v) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "%s %llu\n", key,
-                static_cast<unsigned long long>(v));
-  out += buf;
 }
 
 }  // namespace
@@ -200,32 +195,21 @@ bool SegmentedTraceWriter::try_close() noexcept {
 }
 
 std::string RecoveryReport::to_text() const {
-  std::string out;
-  out.reserve(256 + 160 * segments.size());
-  line(out, "segments", segments.size());
-  line(out, "sealed_segments", sealed_segments);
-  line(out, "torn_tail", torn_tail ? 1 : 0);
-  line(out, "salvaged_samples", salvaged_samples);
-  line(out, "markers", markers.size());
+  obs::FieldList out;
+  out.add({"segments"}, std::uint64_t{segments.size()});
+  out.add({"sealed_segments"}, sealed_segments);
+  out.add({"torn_tail"}, std::uint64_t{torn_tail});
+  out.add({"salvaged_samples"}, salvaged_samples);
+  out.add({"markers"}, std::uint64_t{markers.size()});
   for (const SegmentInfo& s : segments) {
-    char key[64];
-    std::snprintf(key, sizeof(key), "segment.%llu.sealed",
-                  static_cast<unsigned long long>(s.index));
-    line(out, key, s.sealed ? 1 : 0);
-    std::snprintf(key, sizeof(key), "segment.%llu.complete",
-                  static_cast<unsigned long long>(s.index));
-    line(out, key, s.complete ? 1 : 0);
-    std::snprintf(key, sizeof(key), "segment.%llu.samples",
-                  static_cast<unsigned long long>(s.index));
-    line(out, key, s.samples);
-    std::snprintf(key, sizeof(key), "segment.%llu.chunks",
-                  static_cast<unsigned long long>(s.index));
-    line(out, key, s.chunks);
-    std::snprintf(key, sizeof(key), "segment.%llu.chunks_corrupt",
-                  static_cast<unsigned long long>(s.index));
-    line(out, key, s.stats.chunks_corrupt);
+    out.part("segment." + std::to_string(s.index) + ".");
+    out.add({"sealed"}, std::uint64_t{s.sealed});
+    out.add({"complete"}, std::uint64_t{s.complete});
+    out.add({"samples"}, s.samples);
+    out.add({"chunks"}, s.chunks);
+    out.add({"chunks_corrupt"}, s.stats.chunks_corrupt);
   }
-  return out;
+  return obs::render(out, obs::Format::kText);
 }
 
 saiyan::Result<RecoveryReport> scan_segments(const std::string& dir) {

@@ -134,7 +134,8 @@ struct RecoveryReport {
   std::uint64_t sealed_segments = 0;
   std::uint64_t salvaged_samples = 0;
   bool torn_tail = false;  ///< an unsealed `.tmp` tail was present
-  /// `key value` lines (mirrors GatewayStats::to_text()).
+  /// `key value` lines (`saiyand --recover`): salvage totals, then
+  /// `segment.<index>.<field>` per segment.
   std::string to_text() const;
 };
 

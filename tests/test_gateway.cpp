@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <latch>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -186,36 +187,6 @@ TEST(GatewayConfigValidate, ReportsFirstBadFieldByPath) {
   EXPECT_NE(v.message().find("limits.subscriber_queue"), std::string::npos);
 
   EXPECT_TRUE(base_config().validate().ok());
-}
-
-TEST(GatewayConfigValidate, DeprecatedAliasConflictIsRejected) {
-  gateway::GatewayConfig cfg = base_config();
-  cfg.stream.sic.shed_queue = 4;   // deprecated spelling
-  cfg.limits.sic_shed_queue = 8;   // canonical spelling, different value
-  auto v = cfg.validate();
-  ASSERT_FALSE(v.ok());
-  EXPECT_NE(v.message().find("stream.sic.shed_queue"), std::string::npos);
-
-  // Agreeing values are fine; so is either spelling alone.
-  cfg.limits.sic_shed_queue = 4;
-  EXPECT_TRUE(cfg.validate().ok());
-  cfg.stream.sic.shed_queue = 0;
-  cfg.limits.sic_shed_queue = 8;
-  EXPECT_TRUE(cfg.validate().ok());
-}
-
-TEST(GatewayConfigValidate, AliasFoldsIntoWorkerStreamConfig) {
-  gateway::GatewayConfig cfg = base_config();
-  cfg.limits.sic_shed_queue = 5;
-  cfg.limits.sic_max_rescan_queue = 9;
-  const stream::StreamConfig sc = cfg.worker_stream_config();
-  EXPECT_EQ(sc.sic.shed_queue, 5u);
-  EXPECT_EQ(sc.sic.max_rescan_queue, 9u);
-
-  // Old spelling still honored when the canonical knob is unset.
-  gateway::GatewayConfig legacy = base_config();
-  legacy.stream.sic.shed_queue = 3;
-  EXPECT_EQ(legacy.worker_stream_config().sic.shed_queue, 3u);
 }
 
 // ------------------------------------------------------ TraceReader::open
@@ -425,13 +396,22 @@ TEST_F(GatewayFile, SlowSubscriberShedsFramesWithoutStallingWorkers) {
   ASSERT_TRUE(created.ok()) << created.message();
   auto& gw = *created.value();
 
+  // The slow handler holds its first frame until the fast subscriber
+  // has received every frame. Each subscriber has its own delivery
+  // thread, so this cannot deadlock, and with a one-frame queue the
+  // slow subscriber must shed whatever decode speed the host has.
+  const std::size_t total = capture().markers.size();
+  std::latch fast_has_all(static_cast<std::ptrdiff_t>(total));
   std::atomic<std::size_t> delivered{0};
   gw.subscribe([&](const gateway::FrameRecord&) {
-    delivered.fetch_add(1);
+    if (delivered.fetch_add(1) == 0) fast_has_all.wait();
     std::this_thread::sleep_for(std::chrono::milliseconds(40));
   });
   Collector fast;
-  gw.subscribe(fast.handler());
+  gw.subscribe([&, collect = fast.handler()](const gateway::FrameRecord& fr) {
+    collect(fr);
+    fast_has_all.count_down();
+  });
 
   const auto t0 = std::chrono::steady_clock::now();
   ASSERT_TRUE(gw.enqueue_trace(path_).ok());
@@ -441,7 +421,6 @@ TEST_F(GatewayFile, SlowSubscriberShedsFramesWithoutStallingWorkers) {
           .count();
 
   const gateway::GatewayStats st = gw.stats();
-  const std::size_t total = capture().markers.size();
   EXPECT_EQ(st.frames_decoded, total);
   // The fast subscriber saw everything; the slow one shed the excess
   // and every shed frame is accounted for.
@@ -516,6 +495,27 @@ TEST(GatewayLiveStream, MatchesOfflineAndGuardsDrain) {
   std::sort(got.begin(), got.end());
   EXPECT_EQ(got, expected);
   EXPECT_EQ(gw.stats().streams_open, 0u);
+}
+
+// A live stream has one id: open_stream() returns the job id its
+// frames carry and job_status() reports on.
+TEST(GatewayLiveStream, StreamIdIsTheJobIdOfItsFrames) {
+  auto created = gateway::Gateway::create(base_config());
+  ASSERT_TRUE(created.ok()) << created.message();
+  auto& gw = *created.value();
+  Collector col;
+  gw.subscribe(col.handler());
+  const gateway::StreamId sid = gw.open_stream();
+  ASSERT_TRUE(gw.push(sid, capture().samples).ok());
+  ASSERT_TRUE(gw.close_stream(sid).ok());
+  ASSERT_TRUE(gw.drain().ok());
+
+  const std::vector<gateway::FrameRecord> frames = col.take();
+  ASSERT_FALSE(frames.empty());
+  for (const gateway::FrameRecord& fr : frames) EXPECT_EQ(fr.job, sid);
+  auto status = gw.job_status(sid);
+  ASSERT_TRUE(status.ok()) << status.message();
+  EXPECT_EQ(status.value().state, gateway::JobState::kDone);
 }
 
 TEST_F(GatewayFile, StatsTextCarriesTheDocumentedKeys) {
@@ -603,7 +603,7 @@ TEST(GatewayLinks, RegistryTracksTagsEndToEnd) {
 }
 
 TEST(GatewayStatsPrimitives, LatencyHistogramQuantiles) {
-  gateway::LatencyHistogram h;
+  obs::LatencyHistogram h;
   for (int i = 0; i < 98; ++i) h.record(100);   // bucket [64, 127]
   h.record(100000);
   h.record(200000);
@@ -729,10 +729,14 @@ TEST_F(GatewayFile, JobStatusReportsTypedOutcomes) {
   gateway::GatewayConfig cfg = base_config();
   cfg.workers = 1;
   // Hold job 1 at its first chunk until the main thread has deleted
-  // the trace — job 2 then deterministically opens a missing file.
+  // the trace — job 2 then deterministically opens a missing file. The
+  // main thread waits for the hook first, so job 1 has the trace open
+  // before it disappears.
+  std::atomic<bool> hook_entered{false};
   std::atomic<bool> file_removed{false};
   cfg.chunk_hook = [&](const gateway::GatewayConfig::ChunkHookInfo& info) {
     if (info.chunk_index != 0) return;
+    hook_entered.store(true);
     while (!file_removed.load()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
@@ -747,6 +751,9 @@ TEST_F(GatewayFile, JobStatusReportsTypedOutcomes) {
   ASSERT_TRUE(second.ok());
   // The second job was validated at enqueue; deleting the file before
   // its worker reaches it forces the mid-flight failure path.
+  while (!hook_entered.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   std::remove(path_);
   file_removed.store(true);
   ASSERT_TRUE(gw.drain().ok());

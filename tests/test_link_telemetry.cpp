@@ -9,7 +9,7 @@
 // positive correlation margin) across spreading factors and collision
 // overlap offsets; and the load-bearing invariant that attaching the
 // telemetry sink never changes what the demodulator decodes. The
-// `links` control-op query grammar (parse_link_query/links_to_text)
+// `links` control-op query grammar (parse_readout_query/links_to_text)
 // rides along since it has no other natural unit-test home.
 #include "obs/link_telemetry.hpp"
 
@@ -28,7 +28,7 @@
 #include "core/config.hpp"
 #include "dsp/noise.hpp"
 #include "dsp/utils.hpp"
-#include "gateway/gateway_stats.hpp"
+#include "gateway/gateway_metrics.hpp"
 #include "sim/capture.hpp"
 #include "stream/streaming_demod.hpp"
 
@@ -331,21 +331,32 @@ TEST(LinkEstimators, LinkHeaderCaptureKeepsScheduleBitIdentical) {
 
 TEST(LinkQueryGrammar, ParsesOptionsAndRejectsGarbage) {
   using gateway::LinkQuery;
-  auto q = gateway::parse_link_query("");
+  const auto parse = [](std::string_view text) {
+    return gateway::parse_readout_query(text, /*links=*/true);
+  };
+  auto q = parse("");
   ASSERT_TRUE(q.ok());
-  EXPECT_EQ(q.value().top, 0u);
-  EXPECT_EQ(q.value().sort, LinkQuery::Sort::kFrames);
+  EXPECT_EQ(q.value().links.top, 0u);
+  EXPECT_EQ(q.value().links.sort, LinkQuery::Sort::kFrames);
+  EXPECT_EQ(q.value().format, obs::Format::kText);
 
-  q = gateway::parse_link_query("  top=5\tsort=snr ");
+  q = parse("  top=5\tsort=snr format=json ");
   ASSERT_TRUE(q.ok());
-  EXPECT_EQ(q.value().top, 5u);
-  EXPECT_EQ(q.value().sort, LinkQuery::Sort::kSnr);
+  EXPECT_EQ(q.value().links.top, 5u);
+  EXPECT_EQ(q.value().links.sort, LinkQuery::Sort::kSnr);
+  EXPECT_EQ(q.value().format, obs::Format::kJson);
 
-  EXPECT_FALSE(gateway::parse_link_query("top=~~").ok());
-  EXPECT_FALSE(gateway::parse_link_query("top=5x").ok());
-  EXPECT_FALSE(gateway::parse_link_query("sort=bogus").ok());
-  EXPECT_FALSE(gateway::parse_link_query("limit=3").ok());
-  EXPECT_FALSE(gateway::parse_link_query("top 3").ok());
+  EXPECT_FALSE(parse("top=~~").ok());
+  EXPECT_FALSE(parse("top=5x").ok());
+  EXPECT_FALSE(parse("sort=bogus").ok());
+  EXPECT_FALSE(parse("limit=3").ok());
+  EXPECT_FALSE(parse("top 3").ok());
+  EXPECT_FALSE(parse("format=xml").ok());
+
+  // stats and health take format= only.
+  EXPECT_TRUE(gateway::parse_readout_query("format=text", false).ok());
+  EXPECT_FALSE(gateway::parse_readout_query("top=3", false).ok());
+  EXPECT_FALSE(gateway::parse_readout_query("sort=snr", false).ok());
 }
 
 TEST(LinkQueryGrammar, TextListingOrdersAndLimits) {

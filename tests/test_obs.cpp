@@ -14,15 +14,20 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
+#include <sstream>
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/config.hpp"
 #include "gateway/gateway_metrics.hpp"
 #include "gateway/gateway_stats.hpp"
+#include "metric_fixtures.hpp"
 #include "obs/latency_histogram.hpp"
+#include "obs/metric_schema.hpp"
 #include "obs/prometheus.hpp"
 #include "obs/stage_metrics.hpp"
 #include "obs/trace_ring.hpp"
@@ -428,6 +433,91 @@ TEST(Prometheus, GatewayStatsExport) {
     std::strtod(value.c_str(), &end);
     EXPECT_EQ(end, value.c_str() + value.size()) << line;
   }
+}
+
+// --------------------------------------------------------- field lists
+
+/// `key value` lines of a text readout, in order.
+std::vector<std::pair<std::string, std::string>> text_pairs(
+    const std::string& text) {
+  std::vector<std::pair<std::string, std::string>> out;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    const std::size_t sp = line.find(' ');
+    out.emplace_back(line.substr(0, sp), line.substr(sp + 1));
+  }
+  return out;
+}
+
+template <typename Describe>
+void expect_json_mirrors_text(Describe describe) {
+  obs::FieldList list;
+  describe(list);
+  const std::string text = obs::render(list, obs::Format::kText);
+  const std::string json = obs::render(list, obs::Format::kJson);
+  ASSERT_EQ(json.front(), '{');
+  const auto pairs = text_pairs(text);
+  ASSERT_FALSE(pairs.empty());
+  std::istringstream in(json);
+  std::vector<std::string> members;
+  for (std::string line; std::getline(in, line);) {
+    if (line == "{" || line == "}") continue;
+    if (line.back() == ',') line.pop_back();
+    members.push_back(line);
+  }
+  ASSERT_EQ(members.size(), pairs.size()) << json;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const auto& [k, v] = pairs[i];
+    // Numbers stay numbers; the one string value is quoted.
+    const std::string value = k == "degradation_name" ? '"' + v + '"' : v;
+    EXPECT_EQ(members[i], "  \"" + k + "\": " + value);
+  }
+}
+
+// Every `k v` text line is `"k": v` in the JSON rendering of the same
+// field list, for each readout.
+TEST(MetricSchema, JsonMirrorsTextForEveryReadout) {
+  expect_json_mirrors_text([](obs::FieldList& f) {
+    describe(fixtures::full_gateway_stats(), f);
+  });
+  expect_json_mirrors_text([](obs::FieldList& f) {
+    describe(fixtures::full_gateway_health(), f);
+  });
+  expect_json_mirrors_text([](obs::FieldList& f) {
+    gateway::describe_links(fixtures::full_link_registry(), {}, f);
+  });
+  const std::string health =
+      obs::render(fixtures::full_gateway_health(), obs::Format::kJson);
+  EXPECT_NE(health.find("\"degradation_name\": \"reduce_sic\""),
+            std::string::npos);
+}
+
+// One key per line and one HELP per family: a field listed twice would
+// show as a repeated key or a family split in two.
+TEST(MetricSchema, KeysAndFamiliesAreUnique) {
+  const gateway::GatewayStats s = fixtures::full_gateway_stats();
+  std::vector<std::string> keys;
+  for (const auto& kv : text_pairs(s.to_text())) keys.push_back(kv.first);
+  std::sort(keys.begin(), keys.end());
+  EXPECT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end());
+
+  std::vector<std::string> families;
+  std::istringstream in(gateway::to_prometheus(s));
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("# HELP ", 0) == 0) {
+      families.push_back(line.substr(7, line.find(' ', 7) - 7));
+    }
+  }
+  std::sort(families.begin(), families.end());
+  EXPECT_EQ(std::adjacent_find(families.begin(), families.end()),
+            families.end());
+}
+
+// A JSON reader cannot take NaN: a non-finite double renders as null.
+TEST(MetricSchema, JsonRendersNonFiniteAsNull) {
+  obs::FieldList f;
+  f.add({"snr_db"}, std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(obs::render(f, obs::Format::kJson), "{\n  \"snr_db\": null\n}\n");
 }
 
 // ------------------------------------------- decode is observation-free

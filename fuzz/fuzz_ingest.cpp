@@ -1,9 +1,9 @@
 // libFuzzer harness over the ingest surface: TraceReader (strict and
 // skip-and-resync modes) and PacketScanner.
 //
-// Contract under fuzzing: arbitrary bytes may be *rejected* (throw
-// std::runtime_error from header parsing, return kCorrupt/kEof from
-// the chunk stream, confirm nothing in the scanner) but must never
+// Contract under fuzzing: arbitrary bytes may be *rejected* (a
+// classified error from header parsing, kCorrupt/kEof from the chunk
+// stream, nothing confirmed by the scanner) but must never
 // crash, overflow, leak, or trip ASan/UBSan. Structured rejection is
 // success; anything the sanitizers catch is a finding.
 //
@@ -18,8 +18,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <exception>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/config.hpp"
@@ -42,22 +42,20 @@ lora::PhyParams fuzz_phy() {
 }
 
 void drive_reader(std::string_view bytes, bool recover) {
-  try {
-    stream::TraceReader reader =
-        stream::TraceReader::from_bytes(bytes, recover);
-    dsp::Signal chunk;
-    // The chunk loop is bounded by construction (every iteration
-    // advances or ends the stream); the guard only caps the work per
-    // input so the fuzzer's throughput stays useful.
-    for (int i = 0; i < (1 << 16); ++i) {
-      const stream::ChunkStatus st = reader.next_chunk(chunk);
-      if (st == stream::ChunkStatus::kEof ||
-          st == stream::ChunkStatus::kCorrupt) {
-        break;
-      }
+  auto opened = stream::TraceReader::from_bytes(bytes, recover);
+  // A malformed header/marker table is a structured rejection.
+  if (!opened.ok()) return;
+  stream::TraceReader reader = std::move(opened).value();
+  dsp::Signal chunk;
+  // The chunk loop is bounded by construction (every iteration
+  // advances or ends the stream); the guard only caps the work per
+  // input so the fuzzer's throughput stays useful.
+  for (int i = 0; i < (1 << 16); ++i) {
+    const stream::ChunkStatus st = reader.next_chunk(chunk);
+    if (st == stream::ChunkStatus::kEof ||
+        st == stream::ChunkStatus::kCorrupt) {
+      break;
     }
-  } catch (const std::exception&) {
-    // Structured rejection of a malformed header/marker table.
   }
 }
 

@@ -14,10 +14,12 @@ saiyan::Error at(const std::string& path, std::size_t lineno,
   return saiyan::Error{path + ":" + std::to_string(lineno) + ": " + why};
 }
 
+// `end` points into `s`, so the string must outlive the check.
 bool parse_u64(std::string_view v, std::uint64_t& out) {
   if (v.empty()) return false;
+  const std::string s(v);
   char* end = nullptr;
-  const unsigned long long x = std::strtoull(std::string(v).c_str(), &end, 10);
+  const unsigned long long x = std::strtoull(s.c_str(), &end, 10);
   if (end == nullptr || *end != '\0') return false;
   out = x;
   return true;
@@ -25,8 +27,9 @@ bool parse_u64(std::string_view v, std::uint64_t& out) {
 
 bool parse_f64(std::string_view v, double& out) {
   if (v.empty()) return false;
+  const std::string s(v);
   char* end = nullptr;
-  const double x = std::strtod(std::string(v).c_str(), &end);
+  const double x = std::strtod(s.c_str(), &end);
   if (end == nullptr || *end != '\0') return false;
   out = x;
   return true;
@@ -69,9 +72,6 @@ saiyan::Result<DaemonOptions> load_daemon_config(const std::string& path) {
     } else if (key == "workers") {
       if (!want_u64()) return at(path, lineno, "workers: not an integer");
       opt.gateway.workers = static_cast<std::size_t>(u);
-    } else if (key == "chunk_samples") {
-      if (!want_u64()) return at(path, lineno, "chunk_samples: not an integer");
-      opt.gateway.chunk_samples = static_cast<std::size_t>(u);
     } else if (key == "throttle_us") {
       if (!want_u64()) return at(path, lineno, "throttle_us: not an integer");
       opt.gateway.throttle_us = u;

@@ -3,7 +3,6 @@
 //   # saiyand.conf
 //   socket /tmp/saiyand.sock
 //   workers 4
-//   chunk_samples 16384
 //   throttle_us 0
 //   resync 1
 //   subscriber_queue 256

@@ -67,7 +67,7 @@ void usage(FILE* out) {
       "saiyand — Saiyan LoRa-backscatter gateway daemon\n"
       "\n"
       "serve:  saiyand [--config FILE] [--socket PATH] [--trace FILE]...\n"
-      "                [--workers N] [--chunk-samples N] [--throttle-us N]\n"
+      "                [--workers N] [--throttle-us N]\n"
       "                [--print-frames] [--oneshot] [--trace-out FILE]\n"
       "record: saiyand --record OUT.trace [--tags N] [--packets N]\n"
       "                [--payload-symbols N] [--seed N] [--float32]\n"
@@ -195,7 +195,7 @@ int main(int argc, char** argv) {
   std::string trace_out;
   std::vector<std::string> cli_traces;
   // CLI overrides are applied after --config so flags win.
-  long cli_workers = -1, cli_chunk = -1, cli_throttle = -1;
+  long cli_workers = -1, cli_throttle = -1;
   std::string cli_socket;
 
   for (int i = 1; i < argc; ++i) {
@@ -223,8 +223,6 @@ int main(int argc, char** argv) {
       cli_traces.emplace_back(next());
     } else if (arg == "--workers") {
       cli_workers = std::atol(next());
-    } else if (arg == "--chunk-samples") {
-      cli_chunk = std::atol(next());
     } else if (arg == "--throttle-us") {
       cli_throttle = std::atol(next());
     } else if (arg == "--oneshot") {
@@ -283,9 +281,6 @@ int main(int argc, char** argv) {
   for (std::string& t : cli_traces) opt.traces.push_back(std::move(t));
   if (cli_workers >= 0) {
     opt.gateway.workers = static_cast<std::size_t>(cli_workers);
-  }
-  if (cli_chunk >= 0) {
-    opt.gateway.chunk_samples = static_cast<std::size_t>(cli_chunk);
   }
   if (cli_throttle >= 0) {
     opt.gateway.throttle_us = static_cast<std::uint64_t>(cli_throttle);

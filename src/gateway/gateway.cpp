@@ -8,9 +8,9 @@
 #include <cstdio>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
-#include <variant>
 
 #include "gateway/degradation.hpp"
 #include "obs/stage_metrics.hpp"
@@ -81,17 +81,15 @@ struct LiveStream {
   bool closed = false;             // guarded by Impl::mu_
 };
 
-struct TraceJob {
-  std::uint64_t job_id = 0;
-  std::string path;
+/// One unit of work: a trace replay (`stream` null) or a live stream.
+struct Job {
+  std::uint64_t id = 0;
+  std::string path;                    ///< trace job: the file to replay
+  std::shared_ptr<LiveStream> stream;  ///< stream job: the sample feed
 };
 
-struct StreamJob {
-  std::uint64_t job_id = 0;
-  std::shared_ptr<LiveStream> stream;
-};
-
-using Job = std::variant<TraceJob, StreamJob>;
+/// What a worker got when it asked a job for its next chunk.
+enum class Pull { kChunk, kEnd, kCancelled, kShutdown };
 
 /// Hot per-worker counters: relaxed atomics on their own cache line,
 /// incremented by exactly one worker, read by any snapshotter.
@@ -223,6 +221,23 @@ struct Gateway::Impl {
   obs::LinkTelemetry link_telemetry_;
   const Clock::time_point start_ = Clock::now();
 
+  /// Assign the job its id, queue it on the next worker round-robin
+  /// (a stream job also becomes pushable), and wake that worker.
+  std::uint64_t submit(Job job) {
+    std::uint64_t id;
+    Worker* target;
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      id = job.id = next_job_++;
+      if (job.stream) streams_.emplace(id, job.stream);
+      target = workers_[rr_++ % workers_.size()].get();
+      target->jobs.push_back(std::move(job));
+    }
+    jobs_enqueued.fetch_add(1, std::memory_order_relaxed);
+    target->cv.notify_all();
+    return id;
+  }
+
   // ---- worker body ---------------------------------------------------
 
   void worker_main(Worker& w) {
@@ -243,28 +258,22 @@ struct Gateway::Impl {
         job_cfg = cfg;  // pinned: in-flight jobs survive reload untouched
         gen = cfg_gen;
       }
-      const std::uint64_t job_id =
-          std::visit([](const auto& j) { return j.job_id; }, job);
       // Arm the liveness state before the job body runs: clear any
       // cancel left over from the previous job, then publish start /
       // heartbeat so the watchdog ages this job from zero.
       w.cancel.store(false, std::memory_order_relaxed);
       w.cancel_kind.store(0, std::memory_order_relaxed);
-      w.current_job.store(job_id, std::memory_order_relaxed);
-      w.job_is_stream.store(std::holds_alternative<StreamJob>(job),
-                            std::memory_order_relaxed);
+      w.current_job.store(job.id, std::memory_order_relaxed);
+      w.job_is_stream.store(job.stream != nullptr, std::memory_order_relaxed);
       const std::uint64_t t_start = now_ns();
       w.heartbeat_ns.store(t_start, std::memory_order_relaxed);
       w.job_start_ns.store(t_start, std::memory_order_release);
       // Explicit B/E rather than a ScopedTimer: if the job wedges and a
       // trace is dumped mid-flight, the dangling 'B' shows the open job.
-      obs::trace_begin(std::holds_alternative<StreamJob>(job)
-                           ? "stream_job"
-                           : "trace_job");
-      JobStatus st = std::visit(
-          [&](const auto& j) { return run_job(w, j, *job_cfg, gen); }, job);
-      obs::trace_end(std::holds_alternative<StreamJob>(job) ? "stream_job"
-                                                            : "trace_job");
+      const char* span = job.stream ? "stream_job" : "trace_job";
+      obs::trace_begin(span);
+      JobStatus st = run_job(w, job, *job_cfg, gen);
+      obs::trace_end(span);
       w.job_start_ns.store(0, std::memory_order_release);
       w.counters.jobs.fetch_add(1, std::memory_order_relaxed);
       if (st.state == JobState::kDone) {
@@ -272,7 +281,7 @@ struct Gateway::Impl {
       } else {
         jobs_failed.fetch_add(1, std::memory_order_relaxed);
       }
-      record_outcome(job_id, std::move(st));
+      record_outcome(job.id, std::move(st));
       {
         std::lock_guard<std::mutex> lk(mu_);
         w.busy = false;
@@ -310,9 +319,8 @@ struct Gateway::Impl {
     return st;
   }
 
-  /// Per-chunk liveness bookkeeping shared by both job kinds: beat the
-  /// heartbeat, adopt the ladder's current level, publish the rescan
-  /// backlog, and run the test-only chunk hook.
+  /// Per-chunk liveness bookkeeping: beat the heartbeat, publish the
+  /// rescan backlog, and run the test-only chunk hook.
   void chunk_tick(Worker& w, stream::StreamingDemodulator& demod,
                   const GatewayConfig& gcfg, std::uint64_t job_id,
                   std::uint64_t chunk_index) {
@@ -328,170 +336,121 @@ struct Gateway::Impl {
     }
   }
 
-  JobStatus run_job(Worker& w, const TraceJob& job, const GatewayConfig& gcfg,
-                    std::uint64_t gen) {
-    auto opened = stream::TraceReader::open(job.path, gcfg.resync);
-    if (!opened.ok()) {
-      // Validated at enqueue time; the file changed underneath us.
-      const stream::IngestError kind =
-          opened.error().ingest == stream::IngestError::kNone
-              ? stream::IngestError::kBadHeader
-              : opened.error().ingest;
-      w.ingest.count(kind);
-      w.ingest_pub.publish(w.ingest);
-      JobStatus st;
-      st.state = JobState::kFailed;
-      st.message = opened.error().message;
-      st.ingest = kind;
-      return st;
+  /// Pull a job's next chunk into `chunk`. A trace job reads its file
+  /// and realigns the demodulator over any corrupt region the read
+  /// skipped; a stream job waits for its pusher.
+  Pull pull(Worker& w, const Job& job, stream::TraceReader* reader,
+            stream::StreamingDemodulator& demod, dsp::Signal& chunk) {
+    if (reader != nullptr) {
+      const stream::ChunkStatus st = reader->next_chunk(chunk);
+      demod.note_gap(reader->last_gap_samples());
+      return st == stream::ChunkStatus::kOk ||
+                     st == stream::ChunkStatus::kResync
+                 ? Pull::kChunk
+                 : Pull::kEnd;
     }
-    stream::TraceReader reader = std::move(opened).value();
-    // The trace knows what receiver it was recorded for; the gateway's
-    // stream knobs (thresholds, seeds, SIC policy) come from config.
-    stream::StreamConfig sc = gcfg.worker_stream_config();
-    sc.saiyan =
-        core::SaiyanConfig::make(reader.meta().phy, reader.meta().mode);
-    sc.payload_symbols = reader.meta().payload_symbols;
-    sc.cancel = &w.cancel;  // watchdog's lever into a wedged push()
-    sc.stage_metrics = &stage_metrics_;
-    sc.link_telemetry = gcfg.link.enabled ? &link_telemetry_ : nullptr;
-    stream::StreamingDemodulator& demod = ensure_demod(
-        w,
-        DemodKey::make(gen, /*from_trace=*/true, reader.meta().phy,
-                       reader.meta().mode, reader.meta().payload_symbols),
-        sc);
-
-    const std::uint64_t truncated_before = demod.truncated_packets();
-    std::uint64_t chunk_index = 0;
-    dsp::Signal chunk;
+    chunk = dsp::Signal();  // free the previous chunk outside the lock
+    LiveStream& ls = *job.stream;
+    std::unique_lock<std::mutex> lk(mu_);
     for (;;) {
-      const std::uint64_t skipped_before = reader.stats().bytes_skipped;
-      const stream::ChunkStatus st = reader.next_chunk(chunk);
-      if (st == stream::ChunkStatus::kOk ||
-          st == stream::ChunkStatus::kResync) {
-        if (st == stream::ChunkStatus::kResync) {
-          demod.note_gap(reader.last_gap_samples());
-        }
-        demod.set_degradation(
-            degradation_level_.load(std::memory_order_relaxed));
-        const Clock::time_point t0 = Clock::now();
-        std::span<const dsp::Complex> rest(chunk);
-        while (!rest.empty()) {
-          const std::size_t take = std::min(gcfg.chunk_samples, rest.size());
-          demod.push(rest.first(take));
-          if (demod.cancelled()) break;
-          rest = rest.subspan(take);
-        }
-        w.counters.chunks.fetch_add(1, std::memory_order_relaxed);
-        w.counters.samples.fetch_add(chunk.size(), std::memory_order_relaxed);
-        emit_frames(w, demod, gcfg, job.job_id, t0);
-        publish_transient(w, &reader, &demod);
-        chunk_tick(w, demod, gcfg, job.job_id, chunk_index++);
-        if (demod.cancelled() ||
-            w.cancel.load(std::memory_order_relaxed)) {
-          return abandon_cancelled(w, &reader, demod);
-        }
-        if (gcfg.throttle_us != 0) {
-          std::this_thread::sleep_for(
-              std::chrono::microseconds(gcfg.throttle_us));
-        }
-        continue;
+      if (stop_) return Pull::kShutdown;
+      if (w.cancel.load(std::memory_order_relaxed)) return Pull::kCancelled;
+      if (!ls.chunks.empty()) {
+        chunk = std::move(ls.chunks.front());
+        ls.chunks.pop_front();
+        return Pull::kChunk;
       }
-      if (st == stream::ChunkStatus::kEof &&
-          reader.stats().bytes_skipped > skipped_before) {
-        // Recover-mode EOF that discarded a corrupt tail.
-        demod.note_gap(reader.last_gap_samples());
-      }
-      break;
+      if (ls.closed) return Pull::kEnd;
+      // Bounded waits so a stream merely idling (no chunks offered)
+      // keeps its heartbeat fresh — the watchdog must distinguish
+      // "waiting for input" from "wedged in a decode".
+      w.cv.wait_for(lk, std::chrono::milliseconds(50));
+      w.heartbeat_ns.store(now_ns(), std::memory_order_relaxed);
     }
-    const Clock::time_point t_flush = Clock::now();
-    demod.finish();
-    emit_frames(w, demod, gcfg, job.job_id, t_flush);
-    w.counters.truncated.fetch_add(demod.truncated_packets() -
-                                       truncated_before,
-                                   std::memory_order_relaxed);
-    w.ingest.merge(reader.stats());
-    w.ingest.merge(demod.ingest());
-    w.ingest_pub.publish(w.ingest);
-    JobStatus done;
-    done.state = JobState::kDone;
-    return done;
   }
 
-  JobStatus run_job(Worker& w, const StreamJob& job, const GatewayConfig& gcfg,
+  /// Forget a stream job that ended. A drained stream is already
+  /// closed; a cancelled one is closed here, so pushers get a typed
+  /// error instead of feeding a job nobody will ever run again.
+  void retire_stream(const Job& job) {
+    bool was_open;
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      was_open = !job.stream->closed;
+      job.stream->closed = true;
+      streams_.erase(job.id);
+    }
+    if (was_open) streams_open.fetch_sub(1, std::memory_order_relaxed);
+  }
+
+  /// The one job loop. Only the setup differs by source: a trace job
+  /// opens its reader and takes the receiver from the trace header; a
+  /// stream job runs the configured receiver.
+  JobStatus run_job(Worker& w, const Job& job, const GatewayConfig& gcfg,
                     std::uint64_t gen) {
     stream::StreamConfig sc = gcfg.worker_stream_config();
     sc.cancel = &w.cancel;  // watchdog's lever into a wedged push()
     sc.stage_metrics = &stage_metrics_;
     sc.link_telemetry = gcfg.link.enabled ? &link_telemetry_ : nullptr;
+    std::optional<stream::TraceReader> opened_reader;
+    if (!job.stream) {
+      auto opened = stream::TraceReader::open(job.path, gcfg.resync);
+      if (!opened.ok()) {
+        // Validated at enqueue time; the file changed underneath us.
+        const stream::IngestError kind =
+            opened.error().ingest == stream::IngestError::kNone
+                ? stream::IngestError::kBadHeader
+                : opened.error().ingest;
+        w.ingest.count(kind);
+        w.ingest_pub.publish(w.ingest);
+        JobStatus st;
+        st.state = JobState::kFailed;
+        st.message = opened.error().message;
+        st.ingest = kind;
+        return st;
+      }
+      opened_reader.emplace(std::move(opened).value());
+      // The trace knows what receiver it was recorded for; the
+      // gateway's stream knobs (thresholds, seeds, SIC policy) come
+      // from config.
+      const stream::TraceMeta& meta = opened_reader->meta();
+      sc.saiyan = core::SaiyanConfig::make(meta.phy, meta.mode);
+      sc.payload_symbols = meta.payload_symbols;
+    }
+    stream::TraceReader* const reader =
+        opened_reader ? &*opened_reader : nullptr;
     stream::StreamingDemodulator& demod = ensure_demod(
         w,
-        DemodKey::make(gen, /*from_trace=*/false, sc.saiyan.phy,
+        DemodKey::make(gen, /*from_trace=*/reader != nullptr, sc.saiyan.phy,
                        sc.saiyan.mode, sc.payload_symbols),
         sc);
+
     const std::uint64_t truncated_before = demod.truncated_packets();
-    std::uint64_t chunk_index = 0;
-    bool cancelled = false;
-    for (;;) {
-      dsp::Signal chunk;
-      {
-        std::unique_lock<std::mutex> lk(mu_);
-        for (;;) {
-          if (stop_) {
-            // Abandoned at shutdown, like any outstanding job.
-            JobStatus st;
-            st.state = JobState::kDone;
-            return st;
-          }
-          if (w.cancel.load(std::memory_order_relaxed)) break;
-          if (job.stream->closed || !job.stream->chunks.empty()) break;
-          // Bounded waits so a stream merely idling (no chunks offered)
-          // keeps its heartbeat fresh — the watchdog must distinguish
-          // "waiting for input" from "wedged in a decode".
-          w.cv.wait_for(lk, std::chrono::milliseconds(50));
-          w.heartbeat_ns.store(now_ns(), std::memory_order_relaxed);
-        }
-        if (w.cancel.load(std::memory_order_relaxed)) {
-          cancelled = true;
-        } else {
-          if (job.stream->chunks.empty()) break;  // closed and drained
-          chunk = std::move(job.stream->chunks.front());
-          job.stream->chunks.pop_front();
-        }
+    dsp::Signal chunk;  // a trace job reads every chunk into this buffer
+    for (std::uint64_t chunk_index = 0;; ++chunk_index) {
+      const Pull got = pull(w, job, reader, demod, chunk);
+      if (got == Pull::kShutdown) {
+        // Abandoned at shutdown, like any outstanding job.
+        JobStatus st;
+        st.state = JobState::kDone;
+        return st;
       }
-      if (!cancelled) {
+      if (got == Pull::kEnd) break;
+      if (got == Pull::kChunk) {
         demod.set_degradation(
             degradation_level_.load(std::memory_order_relaxed));
         const Clock::time_point t0 = Clock::now();
-        std::span<const dsp::Complex> rest(chunk);
-        while (!rest.empty()) {
-          const std::size_t take = std::min(gcfg.chunk_samples, rest.size());
-          demod.push(rest.first(take));
-          if (demod.cancelled()) break;
-          rest = rest.subspan(take);
-        }
+        demod.push(chunk);
         w.counters.chunks.fetch_add(1, std::memory_order_relaxed);
         w.counters.samples.fetch_add(chunk.size(), std::memory_order_relaxed);
-        emit_frames(w, demod, gcfg, job.job_id, t0);
-        publish_transient(w, nullptr, &demod);
-        chunk_tick(w, demod, gcfg, job.job_id, chunk_index++);
-        cancelled =
-            demod.cancelled() || w.cancel.load(std::memory_order_relaxed);
+        emit_frames(w, demod, gcfg, job.id, t0);
+        publish_transient(w, reader, demod);
+        chunk_tick(w, demod, gcfg, job.id, chunk_index);
       }
-      if (cancelled) {
-        // Tear the stream down so pushers get a typed error instead of
-        // feeding a job nobody will ever run again.
-        bool was_open = false;
-        {
-          std::lock_guard<std::mutex> lk(mu_);
-          was_open = !job.stream->closed;
-          job.stream->closed = true;
-          streams_.erase(job.job_id);
-        }
-        if (was_open) {
-          streams_open.fetch_sub(1, std::memory_order_relaxed);
-        }
-        return abandon_cancelled(w, nullptr, demod);
+      if (got == Pull::kCancelled || demod.cancelled() ||
+          w.cancel.load(std::memory_order_relaxed)) {
+        if (job.stream) retire_stream(job);
+        return abandon_cancelled(w, reader, demod);
       }
       if (gcfg.throttle_us != 0) {
         std::this_thread::sleep_for(
@@ -500,16 +459,14 @@ struct Gateway::Impl {
     }
     const Clock::time_point t_flush = Clock::now();
     demod.finish();
-    emit_frames(w, demod, gcfg, job.job_id, t_flush);
+    emit_frames(w, demod, gcfg, job.id, t_flush);
     w.counters.truncated.fetch_add(demod.truncated_packets() -
                                        truncated_before,
                                    std::memory_order_relaxed);
+    if (reader != nullptr) w.ingest.merge(reader->stats());
     w.ingest.merge(demod.ingest());
     w.ingest_pub.publish(w.ingest);
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      streams_.erase(job.job_id);
-    }
+    if (job.stream) retire_stream(job);
     JobStatus done;
     done.state = JobState::kDone;
     return done;
@@ -518,10 +475,10 @@ struct Gateway::Impl {
   /// Live view during a job: persistent worker counters plus the
   /// in-progress reader/demodulator counters (not yet folded in).
   void publish_transient(Worker& w, const stream::TraceReader* reader,
-                         const stream::StreamingDemodulator* demod) {
+                         const stream::StreamingDemodulator& demod) {
     stream::IngestStats view = w.ingest;
     if (reader != nullptr) view.merge(reader->stats());
-    if (demod != nullptr) view.merge(demod->ingest());
+    view.merge(demod.ingest());
     w.ingest_pub.publish(view);
   }
 
@@ -803,34 +760,12 @@ saiyan::Result<std::uint64_t> Gateway::enqueue_trace(const std::string& path) {
   if (!probe.ok()) return probe.error();
   impl_->markers_expected.fetch_add(probe.value().markers().size(),
                                     std::memory_order_relaxed);
-  std::uint64_t job_id;
-  Impl::Worker* target;
-  {
-    std::lock_guard<std::mutex> lk(impl_->mu_);
-    job_id = impl_->next_job_++;
-    target = impl_->workers_[impl_->rr_++ % impl_->workers_.size()].get();
-    target->jobs.push_back(TraceJob{job_id, path});
-  }
-  impl_->jobs_enqueued.fetch_add(1, std::memory_order_relaxed);
-  target->cv.notify_all();
-  return job_id;
+  return impl_->submit(Job{0, path, nullptr});
 }
 
 StreamId Gateway::open_stream() {
-  auto ls = std::make_shared<LiveStream>();
-  std::uint64_t job_id;
-  Impl::Worker* target;
-  {
-    std::lock_guard<std::mutex> lk(impl_->mu_);
-    job_id = impl_->next_job_++;
-    impl_->streams_.emplace(job_id, ls);
-    target = impl_->workers_[impl_->rr_++ % impl_->workers_.size()].get();
-    target->jobs.push_back(StreamJob{job_id, ls});
-  }
-  impl_->jobs_enqueued.fetch_add(1, std::memory_order_relaxed);
   impl_->streams_open.fetch_add(1, std::memory_order_relaxed);
-  target->cv.notify_all();
-  return job_id;
+  return impl_->submit(Job{0, {}, std::make_shared<LiveStream>()});
 }
 
 saiyan::Result<Unit> Gateway::push(StreamId stream,

@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "stream/trace.hpp"
-
 namespace saiyan::gateway {
 
 namespace {
@@ -36,11 +34,6 @@ saiyan::Result<Unit> GatewayConfig::validate() const {
   }
   if (workers == 0 || workers > 256) {
     return bad_field("workers", "must be in [1, 256]");
-  }
-  if (chunk_samples == 0 || chunk_samples > stream::kMaxTraceChunkSamples) {
-    return bad_field("chunk_samples",
-                     "must be in [1, " +
-                         std::to_string(stream::kMaxTraceChunkSamples) + "]");
   }
   if (limits.subscriber_queue == 0) {
     return bad_field("limits.subscriber_queue", "must be >= 1");

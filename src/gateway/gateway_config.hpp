@@ -101,9 +101,6 @@ struct GatewayConfig {
   /// results are bit-identical at any worker count.
   std::size_t workers = 1;
 
-  /// Trace-read / socket-ingest granularity in samples.
-  std::size_t chunk_samples = 16384;
-
   /// Read traces in skip-and-resync mode and feed recovered gaps to
   /// the demodulator (StreamingDemodulator::note_gap) instead of
   /// aborting the stream at the first corrupt chunk.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "dsp/noise.hpp"
 #include "dsp/utils.hpp"
@@ -256,43 +257,25 @@ ReplayStats score_replay(const stream::StreamingDemodulator& demod,
 }
 
 ReplayStats replay_trace(const std::string& path, const ReplayConfig& cfg) {
-  stream::TraceReader reader(path, cfg.resync);
-  stream::StreamConfig sc;
+  auto opened = stream::TraceReader::open(path, cfg.resync);
+  if (!opened.ok()) throw std::runtime_error(opened.message());
+  stream::TraceReader reader = std::move(opened).value();
+  stream::StreamConfig sc = cfg.stream;
   sc.saiyan = core::SaiyanConfig::make(reader.meta().phy, reader.meta().mode);
   sc.payload_symbols = reader.meta().payload_symbols;
-  sc.seed = cfg.seed;
-  sc.min_score = cfg.min_score;
-  sc.block_samples = cfg.block_samples;
-  sc.sic = cfg.sic;
-  sc.seed_by_offset = cfg.seed_by_offset;
   stream::StreamingDemodulator demod(sc);
 
   dsp::Signal chunk;
   for (;;) {
-    const std::uint64_t skipped_before = reader.stats().bytes_skipped;
     const stream::ChunkStatus st = reader.next_chunk(chunk);
-    if (st == stream::ChunkStatus::kOk ||
-        st == stream::ChunkStatus::kResync) {
-      // A resync skipped a corrupt region: realign the demodulator's
-      // absolute sample clock before feeding the recovered chunk.
-      if (st == stream::ChunkStatus::kResync) {
-        demod.note_gap(reader.last_gap_samples());
-      }
-      std::span<const dsp::Complex> rest(chunk);
-      while (!rest.empty()) {
-        const std::size_t take = std::min(cfg.chunk_samples, rest.size());
-        demod.push(rest.first(take));
-        rest = rest.subspan(take);
-      }
-      continue;
+    // A skipped corrupt region (before a kResync chunk, or a tail
+    // before kEof) realigns the demodulator's absolute sample clock.
+    demod.note_gap(reader.last_gap_samples());
+    // kEof, or (strict mode) a corrupted chunk wedging the replay.
+    if (st != stream::ChunkStatus::kOk && st != stream::ChunkStatus::kResync) {
+      break;
     }
-    // kEof, or (strict mode) a corrupted chunk wedging the replay. A
-    // recover-mode EOF can still carry a skipped corrupt tail.
-    if (st == stream::ChunkStatus::kEof &&
-        reader.stats().bytes_skipped > skipped_before) {
-      demod.note_gap(reader.last_gap_samples());
-    }
-    break;
+    demod.push(chunk);
   }
   demod.finish();
   ReplayStats stats =

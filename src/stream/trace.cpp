@@ -16,9 +16,10 @@ namespace {
 constexpr char kMagic[8] = {'S', 'A', 'I', 'Y', 'T', 'R', 'C', '1'};
 constexpr std::uint32_t kVersionF64 = 1;  // float64 IQ pairs (bit-exact)
 constexpr std::uint32_t kVersionF32 = 2;  // float32 IQ pairs (half size)
-// Sanity bound on a single chunk; shared with config validation
-// through the public header.
-constexpr std::uint32_t kMaxChunkSamples = kMaxTraceChunkSamples;
+// Format sanity cap on a single chunk's sample count (4M complex
+// samples = 64 MiB of float64 IQ): a corrupted length field must not
+// translate into an absurd allocation.
+constexpr std::uint32_t kMaxChunkSamples = 1u << 22;
 constexpr std::uint64_t kMaxMarkers = 1u << 20;
 constexpr std::uint32_t kMaxMarkerSymbols = 1u << 16;
 // Serialized sizes: chunk record header and the fixed part of one
@@ -189,54 +190,29 @@ bool TraceWriter::try_close() noexcept {
   return last_error_.empty();
 }
 
-TraceReader::TraceReader(const std::string& path, bool recover)
-    : TraceReader(
-          [&path]() -> std::unique_ptr<std::istream> {
-            auto f = std::make_unique<std::ifstream>(path, std::ios::binary);
-            if (!*f) {
-              throw std::runtime_error("TraceReader: cannot open " + path);
-            }
-            return f;
-          }(),
-          0, recover, path) {}
-
-TraceReader TraceReader::from_bytes(std::string_view bytes, bool recover) {
-  return TraceReader(
-      std::make_unique<std::istringstream>(std::string(bytes),
-                                           std::ios::binary),
-      bytes.size(), recover, "<memory>");
-}
-
 saiyan::Result<TraceReader> TraceReader::open(const std::string& path,
                                               bool recover) {
   auto f = std::make_unique<std::ifstream>(path, std::ios::binary);
   if (!*f) {
     return fail("TraceReader: cannot open " + path, IngestError::kBadHeader);
   }
-  TraceReader reader(Unparsed{}, std::move(f), 0, recover);
+  TraceReader reader(std::move(f), 0, recover);
   if (auto err = reader.parse_header(path)) return *std::move(err);
   return reader;
 }
 
-saiyan::Result<TraceReader> TraceReader::try_from_bytes(std::string_view bytes,
-                                                        bool recover) {
-  TraceReader reader(Unparsed{},
-                     std::make_unique<std::istringstream>(std::string(bytes),
+saiyan::Result<TraceReader> TraceReader::from_bytes(std::string_view bytes,
+                                                    bool recover) {
+  TraceReader reader(std::make_unique<std::istringstream>(std::string(bytes),
                                                           std::ios::binary),
                      bytes.size(), recover);
   if (auto err = reader.parse_header("<memory>")) return *std::move(err);
   return reader;
 }
 
-TraceReader::TraceReader(Unparsed, std::unique_ptr<std::istream> in,
-                         std::uint64_t size, bool recover)
-    : in_(std::move(in)), size_(size), recover_(recover) {}
-
 TraceReader::TraceReader(std::unique_ptr<std::istream> in, std::uint64_t size,
-                         bool recover, const std::string& name)
-    : TraceReader(Unparsed{}, std::move(in), size, recover) {
-  if (auto err = parse_header(name)) throw std::runtime_error(err->message);
-}
+                         bool recover)
+    : in_(std::move(in)), size_(size), recover_(recover) {}
 
 std::optional<saiyan::Error> TraceReader::parse_header(
     const std::string& name) {
@@ -372,6 +348,7 @@ ChunkStatus TraceReader::fail_chunk(IngestError err, std::uint64_t chunk_start,
 
 ChunkStatus TraceReader::next_chunk(dsp::Signal& out) {
   out.clear();
+  last_gap_samples_ = 0;
   if (failed_) return ChunkStatus::kCorrupt;
   const std::uint64_t chunk_start = pos_;
   std::uint32_t n_samples = 0;

@@ -35,14 +35,14 @@
 // bounded both by a format sanity cap and by the actual file size
 // before anything is allocated, so a corrupted or adversarial length
 // can never translate into an absurd allocation. The header and
-// marker table are strict (malformed -> throw); the chunk stream has
-// two modes:
+// marker table are strict (malformed -> a classified open() error);
+// the chunk stream has two modes:
 //
 //   * strict (default): the first corrupt chunk wedges the reader,
 //     exactly the pre-robustness contract;
-//   * recover (TraceReader(..., /*recover=*/true)): a corrupt chunk
-//     starts a skip-and-resync scan — the reader slides forward byte
-//     by byte until it finds the next complete, CRC-valid chunk
+//   * recover (TraceReader::open(path, /*recover=*/true)): a corrupt
+//     chunk starts a skip-and-resync scan — the reader slides forward
+//     byte by byte until it finds the next complete, CRC-valid chunk
 //     record, delivers it with ChunkStatus::kResync, and estimates the
 //     samples lost in the skipped bytes (last_gap_samples()) so the
 //     consumer can re-align its absolute sample clock. Every rejection
@@ -65,13 +65,6 @@
 #include "stream/ingest_stats.hpp"
 
 namespace saiyan::stream {
-
-/// Format sanity cap on a single chunk's sample count (4M complex
-/// samples = 64 MiB of float64 IQ): a corrupted length field must not
-/// translate into an absurd allocation. Public so config validation
-/// (gateway::GatewayConfig) can enforce the same bound at the API
-/// boundary the writer and reader enforce on the wire.
-inline constexpr std::uint32_t kMaxTraceChunkSamples = 1u << 22;
 
 /// Ground truth for one transmitted packet in the capture.
 struct TraceMarker {
@@ -159,25 +152,17 @@ enum class ChunkStatus {
 
 class TraceReader {
  public:
-  /// Opens and validates the header + markers; throws
-  /// std::runtime_error on a missing file or malformed header.
-  /// `recover` selects the skip-and-resync chunk mode.
-  explicit TraceReader(const std::string& path, bool recover = false);
-
-  /// Result-returning open — the unified public-boundary convention:
-  /// a missing file or malformed header comes back as an Error whose
-  /// `ingest` field classifies the failure (kBadMagic / kBadVersion /
-  /// kBadHeader / kBadMarkerTable) instead of an exception.
+  /// Opens and validates the header + markers. A missing file or
+  /// malformed header comes back as an Error whose `ingest` field
+  /// classifies the failure (kBadMagic / kBadVersion / kBadHeader /
+  /// kBadMarkerTable). `recover` selects the skip-and-resync chunk mode.
   static saiyan::Result<TraceReader> open(const std::string& path,
                                           bool recover = false);
 
-  /// Parse a trace held in memory (fuzz harnesses, byte-level tests).
-  /// Same contract as the file constructor.
-  static TraceReader from_bytes(std::string_view bytes, bool recover = false);
-
-  /// Result-returning from_bytes, same classification as open().
-  static saiyan::Result<TraceReader> try_from_bytes(std::string_view bytes,
-                                                    bool recover = false);
+  /// Parse a trace held in memory (fuzz harnesses, byte-level tests),
+  /// with the same classification as open().
+  static saiyan::Result<TraceReader> from_bytes(std::string_view bytes,
+                                                bool recover = false);
 
   const TraceMeta& meta() const { return meta_; }
   const std::vector<TraceMarker>& markers() const { return markers_; }
@@ -194,23 +179,20 @@ class TraceReader {
   /// Ingest health counters (chunk outcomes, resyncs, error classes).
   const IngestStats& stats() const { return stats_; }
 
-  /// Estimated samples lost in the most recent resync skip (valid
+  /// Estimated samples lost in a corrupt region skipped by the latest
+  /// next_chunk() call, and 0 when that call skipped nothing. Nonzero
   /// after kResync, and after a recover-mode kEof that discarded a
-  /// corrupt tail). The estimate is exact when the skipped region was
+  /// corrupt tail. The estimate is exact when the skipped region was
   /// a single payload-corrupted chunk whose declared length survived.
+  /// A consumer passes it to StreamingDemodulator::note_gap after
+  /// every call (note_gap(0) is a no-op).
   std::uint64_t last_gap_samples() const { return last_gap_samples_; }
 
-  std::uint64_t samples_read() const { return samples_read_; }
-
  private:
-  struct Unparsed {};  // tag: construct without parsing the header
-  TraceReader(Unparsed, std::unique_ptr<std::istream> in, std::uint64_t size,
-              bool recover);
   TraceReader(std::unique_ptr<std::istream> in, std::uint64_t size,
-              bool recover, const std::string& name);
+              bool recover);
   /// Header + marker-table parse; empty on success, else the
-  /// classified error (what the throwing constructors throw and the
-  /// Result-returning entry points return).
+  /// classified error open() and from_bytes() return.
   std::optional<saiyan::Error> parse_header(const std::string& name);
 
   bool read_exact(void* dst, std::size_t n);

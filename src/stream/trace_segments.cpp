@@ -305,13 +305,7 @@ ChunkStatus SegmentedTraceReader::next_chunk(dsp::Signal& out) {
       reader_.emplace(std::move(opened).value());
     }
     const ChunkStatus st = reader_->next_chunk(out);
-    if (st == ChunkStatus::kOk || st == ChunkStatus::kResync) {
-      if (st == ChunkStatus::kResync) {
-        last_gap_ = reader_->last_gap_samples();
-      }
-      samples_read_ += out.size();
-      return st;
-    }
+    if (st == ChunkStatus::kOk || st == ChunkStatus::kResync) return st;
     // Recover-mode readers only end with kEof; fold this segment's
     // health counters in and move on.
     stats_.merge(reader_->stats());

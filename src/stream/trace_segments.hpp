@@ -161,8 +161,6 @@ class SegmentedTraceReader {
   ChunkStatus next_chunk(dsp::Signal& out);
 
   const IngestStats& stats() const { return stats_; }
-  std::uint64_t last_gap_samples() const { return last_gap_; }
-  std::uint64_t samples_read() const { return samples_read_; }
 
  private:
   explicit SegmentedTraceReader(RecoveryReport report);
@@ -171,8 +169,6 @@ class SegmentedTraceReader {
   std::size_t cur_ = 0;                  // index into report_.segments
   std::optional<TraceReader> reader_;    // open segment, if any
   IngestStats stats_;
-  std::uint64_t last_gap_ = 0;
-  std::uint64_t samples_read_ = 0;
 };
 
 /// Salvage a segment directory into one plain trace file (servable by

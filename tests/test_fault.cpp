@@ -28,6 +28,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "lora/modulator.hpp"
 #include "sim/capture.hpp"
@@ -74,7 +75,7 @@ const sim::Capture& two_frame_capture() {
 sim::ReplayConfig recover_cfg() {
   sim::ReplayConfig rc;
   rc.resync = true;
-  rc.seed_by_offset = true;
+  rc.stream.seed_by_offset = true;
   return rc;
 }
 
@@ -170,7 +171,8 @@ TEST_F(FaultFile, StrictReaderWedgesAtFirstCorruptChunk) {
     return fault::flip_chunk_bit(clean, 3);
   });
   ASSERT_GT(lay.chunks.size(), 4u);
-  stream::TraceReader reader(path_, /*recover=*/false);
+  stream::TraceReader reader =
+      stream::TraceReader::open(path_, /*recover=*/false).value();
   dsp::Signal chunk;
   for (int i = 0; i < 3; ++i) {
     ASSERT_EQ(reader.next_chunk(chunk), stream::ChunkStatus::kOk);
@@ -191,7 +193,7 @@ TEST_F(FaultFile, ResyncSkipsExactlyTheCorruptRecord) {
   // Reference: the chunk the resync should deliver next.
   sim::write_capture(two_frame_capture(), two_frame_cfg(), path_,
                      kChunkSamples);
-  stream::TraceReader clean_reader(path_);
+  stream::TraceReader clean_reader = stream::TraceReader::open(path_).value();
   dsp::Signal expect_chunk;
   for (std::size_t i = 0; i <= target + 1; ++i) {
     ASSERT_EQ(clean_reader.next_chunk(expect_chunk),
@@ -202,7 +204,8 @@ TEST_F(FaultFile, ResyncSkipsExactlyTheCorruptRecord) {
   });
   ASSERT_EQ(relay.chunks.size(), lay.chunks.size());
 
-  stream::TraceReader reader(path_, /*recover=*/true);
+  stream::TraceReader reader =
+      stream::TraceReader::open(path_, /*recover=*/true).value();
   dsp::Signal chunk;
   for (std::size_t i = 0; i < target; ++i) {
     ASSERT_EQ(reader.next_chunk(chunk), stream::ChunkStatus::kOk);
@@ -214,16 +217,35 @@ TEST_F(FaultFile, ResyncSkipsExactlyTheCorruptRecord) {
   EXPECT_EQ(reader.last_gap_samples(), kChunkSamples);
   ASSERT_EQ(chunk.size(), expect_chunk.size());
   EXPECT_TRUE(std::equal(chunk.begin(), chunk.end(), expect_chunk.begin()));
+  // The gap belongs to the call that found it: the next clean chunk
+  // reports none, so a consumer can note_gap() after every call.
   stream::ChunkStatus st;
   while ((st = reader.next_chunk(chunk)) == stream::ChunkStatus::kOk) {
+    EXPECT_EQ(reader.last_gap_samples(), 0u);
   }
   EXPECT_EQ(st, stream::ChunkStatus::kEof);
+  EXPECT_EQ(reader.last_gap_samples(), 0u);
   EXPECT_EQ(reader.stats().resyncs, 1u);
   EXPECT_EQ(reader.stats().samples_lost, kChunkSamples);
   EXPECT_EQ(reader.stats().chunks_ok, lay.chunks.size() - 1);
   // The lost samples show up in the EOF cross-check, by design.
   EXPECT_EQ(reader.stats().error_count(stream::IngestError::kTotalMismatch),
             1u);
+
+  // A corrupt tail leaves nothing to resync to: the EOF that discards
+  // it reports the tail, and the call after it reports nothing.
+  const fault::TraceLayout tail_lay = prepare([&](const std::string& clean) {
+    return fault::flip_chunk_bit(clean, lay.chunks.size() - 1);
+  });
+  stream::TraceReader tail_reader =
+      stream::TraceReader::open(path_, /*recover=*/true).value();
+  for (std::size_t i = 0; i + 1 < tail_lay.chunks.size(); ++i) {
+    ASSERT_EQ(tail_reader.next_chunk(chunk), stream::ChunkStatus::kOk);
+  }
+  ASSERT_EQ(tail_reader.next_chunk(chunk), stream::ChunkStatus::kEof);
+  EXPECT_EQ(tail_reader.last_gap_samples(), tail_lay.chunks.back().n_samples);
+  ASSERT_EQ(tail_reader.next_chunk(chunk), stream::ChunkStatus::kEof);
+  EXPECT_EQ(tail_reader.last_gap_samples(), 0u);
 }
 
 TEST_F(FaultFile, HostileChunkLengthRejectsWithoutAbsurdAllocation) {
@@ -231,7 +253,8 @@ TEST_F(FaultFile, HostileChunkLengthRejectsWithoutAbsurdAllocation) {
     // 0x40000000 samples would be a 16 GiB allocation if trusted.
     return fault::corrupt_chunk_length(clean, 3);
   });
-  stream::TraceReader reader(path_, /*recover=*/true);
+  stream::TraceReader reader =
+      stream::TraceReader::open(path_, /*recover=*/true).value();
   dsp::Signal chunk;
   stream::ChunkStatus st;
   bool resynced = false;
@@ -278,24 +301,22 @@ void truncation_sweep(bool float32) {
   for (std::size_t len = 0; len < bytes.size(); ++len) {
     const std::string_view prefix(bytes.data(), len);
     for (const bool recover : {false, true}) {
+      auto opened = stream::TraceReader::from_bytes(prefix, recover);
+      // Structured header rejection — fine anywhere in the sweep.
+      if (!opened.ok()) continue;
+      stream::TraceReader reader = std::move(opened).value();
       int iterations = 0;
-      try {
-        stream::TraceReader reader =
-            stream::TraceReader::from_bytes(prefix, recover);
-        dsp::Signal chunk;
-        stream::ChunkStatus st;
-        do {
-          st = reader.next_chunk(chunk);
-          ASSERT_LT(++iterations, 64)
-              << "reader failed to terminate at truncation " << len;
-        } while (st == stream::ChunkStatus::kOk ||
-                 st == stream::ChunkStatus::kResync);
-        if (st == stream::ChunkStatus::kCorrupt) {
-          EXPECT_FALSE(recover) << "recover mode must never return kCorrupt";
-          EXPECT_GT(reader.stats().total_errors(), 0u);
-        }
-      } catch (const std::runtime_error&) {
-        // Structured header rejection — fine anywhere in the sweep.
+      dsp::Signal chunk;
+      stream::ChunkStatus st;
+      do {
+        st = reader.next_chunk(chunk);
+        ASSERT_LT(++iterations, 64)
+            << "reader failed to terminate at truncation " << len;
+      } while (st == stream::ChunkStatus::kOk ||
+               st == stream::ChunkStatus::kResync);
+      if (st == stream::ChunkStatus::kCorrupt) {
+        EXPECT_FALSE(recover) << "recover mode must never return kCorrupt";
+        EXPECT_GT(reader.stats().total_errors(), 0u);
       }
     }
   }
@@ -562,8 +583,8 @@ TEST_F(FaultFile, SicShedsCancellationsUnderBacklog) {
   sim::write_capture(cap, cfg, path_);
 
   sim::ReplayConfig rc;
-  rc.sic.depth = 2;
-  rc.sic.shed_queue = 1;  // any backlog at all sheds the cancel stage
+  rc.stream.sic.depth = 2;
+  rc.stream.sic.shed_queue = 1;  // any backlog at all sheds the cancel stage
   const sim::ReplayStats s = sim::replay_trace(path_, rc);
   // The buried frame is revealed by the first cancellation and decoded
   // — only its own (pointless) cancel+rescan is shed.
@@ -578,8 +599,8 @@ TEST_F(FaultFile, SicRescanQueueCapEvictsOldest) {
   sim::write_capture(cap, cfg, path_);
 
   sim::ReplayConfig rc;
-  rc.sic.depth = 2;
-  rc.sic.max_rescan_queue = 1;
+  rc.stream.sic.depth = 2;
+  rc.stream.sic.max_rescan_queue = 1;
   const sim::ReplayStats s = sim::replay_trace(path_, rc);
   EXPECT_GE(s.matched, 3u);
   EXPECT_GE(s.ingest.rescans_dropped, 1u);

@@ -68,7 +68,6 @@ gateway::GatewayConfig base_config() {
   gateway::GatewayConfig cfg;
   cfg.stream.saiyan = core::SaiyanConfig::make(phy(), core::Mode::kSuper);
   cfg.stream.payload_symbols = kPayload;
-  cfg.chunk_samples = 8192;
   return cfg;
 }
 
@@ -175,12 +174,6 @@ TEST(GatewayConfigValidate, ReportsFirstBadFieldByPath) {
   EXPECT_NE(v.message().find("workers"), std::string::npos);
 
   cfg = base_config();
-  cfg.chunk_samples = stream::kMaxTraceChunkSamples + 1;
-  v = cfg.validate();
-  ASSERT_FALSE(v.ok());
-  EXPECT_NE(v.message().find("chunk_samples"), std::string::npos);
-
-  cfg = base_config();
   cfg.limits.subscriber_queue = 0;
   v = cfg.validate();
   ASSERT_FALSE(v.ok());
@@ -196,7 +189,7 @@ TEST(TraceReaderOpen, ClassifiesFailures) {
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.error().ingest, stream::IngestError::kBadHeader);
 
-  auto magic = stream::TraceReader::try_from_bytes("NOTATRACE........");
+  auto magic = stream::TraceReader::from_bytes("NOTATRACE........");
   ASSERT_FALSE(magic.ok());
   EXPECT_EQ(magic.error().ingest, stream::IngestError::kBadMagic);
 }
@@ -255,7 +248,7 @@ TEST(DaemonConfig, ParsesAndValidates) {
     out << "# demo config\n"
         << "socket /tmp/test_saiyand.sock\n"
         << "workers 2\n"
-        << "chunk_samples 4096\n"
+        << "throttle_us 4096\n"
         << "payload_symbols 16   # inline comment\n"
         << "trace a.sytrc\n"
         << "trace b.sytrc\n";
@@ -264,7 +257,7 @@ TEST(DaemonConfig, ParsesAndValidates) {
   ASSERT_TRUE(loaded.ok()) << loaded.message();
   EXPECT_EQ(loaded.value().socket_path, "/tmp/test_saiyand.sock");
   EXPECT_EQ(loaded.value().gateway.workers, 2u);
-  EXPECT_EQ(loaded.value().gateway.chunk_samples, 4096u);
+  EXPECT_EQ(loaded.value().gateway.throttle_us, 4096u);
   EXPECT_EQ(loaded.value().gateway.stream.payload_symbols, 16u);
   ASSERT_EQ(loaded.value().traces.size(), 2u);
   EXPECT_EQ(loaded.value().traces[1], "b.sytrc");
@@ -276,6 +269,15 @@ TEST(DaemonConfig, ParsesAndValidates) {
   auto bad = daemon::load_daemon_config(path);
   ASSERT_FALSE(bad.ok());
   EXPECT_NE(bad.message().find(":2:"), std::string::npos) << bad.message();
+
+  // There is no chunk-size knob: the key is as unknown as any other.
+  {
+    std::ofstream out(path);
+    out << "workers 2\nchunk_samples 4096\n";
+  }
+  auto gone = daemon::load_daemon_config(path);
+  ASSERT_FALSE(gone.ok());
+  EXPECT_NE(gone.message().find(":2:"), std::string::npos) << gone.message();
 
   {
     std::ofstream out(path);
@@ -518,6 +520,49 @@ TEST(GatewayLiveStream, StreamIdIsTheJobIdOfItsFrames) {
   EXPECT_EQ(status.value().state, gateway::JobState::kDone);
 }
 
+// A live stream wedged in its first chunk is cancelled by the
+// heartbeat watchdog and torn down: pushers get an error, the stream
+// no longer counts as open, and drain() needs no close_stream.
+TEST(GatewayLiveStream, WatchdogCancelTearsDownStream) {
+  gateway::GatewayConfig cfg = base_config();
+  cfg.watchdog.poll_ms = 10;
+  cfg.watchdog.heartbeat_timeout_ms = 200;
+  cfg.chunk_hook = [](const gateway::GatewayConfig::ChunkHookInfo& info) {
+    if (info.chunk_index != 0) return;
+    while (!info.cancel->load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  auto created = gateway::Gateway::create(cfg);
+  ASSERT_TRUE(created.ok()) << created.message();
+  auto& gw = *created.value();
+  const gateway::StreamId sid = gw.open_stream();
+  ASSERT_TRUE(gw.push(sid, std::span(capture().samples).first(8192)).ok());
+
+  // The outcome is recorded only after the worker has torn the stream
+  // down, so every check below sees the finished teardown.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  gateway::JobStatus st;
+  for (;;) {
+    auto s = gw.job_status(sid);
+    ASSERT_TRUE(s.ok()) << s.message();
+    st = s.value();
+    if (st.state != gateway::JobState::kPending) break;
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "the wedged stream was never cancelled";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(st.state, gateway::JobState::kCancelled);
+  EXPECT_NE(st.message.find("heartbeat"), std::string::npos) << st.message;
+
+  EXPECT_FALSE(gw.push(sid, std::span(capture().samples).first(1)).ok())
+      << "push into a cancelled stream must fail";
+  EXPECT_EQ(gw.stats().streams_open, 0u);
+  ASSERT_TRUE(gw.drain().ok()) << "a cancelled stream needs no close_stream";
+  EXPECT_EQ(gw.stats().ingest.jobs_cancelled, 1u);
+}
+
 TEST_F(GatewayFile, StatsTextCarriesTheDocumentedKeys) {
   auto created = gateway::Gateway::create(base_config());
   ASSERT_TRUE(created.ok()) << created.message();
@@ -630,7 +675,6 @@ void watchdog_trip(const char* trace_path, bool via_deadline) {
   gateway::GatewayConfig cfg;
   cfg.stream.saiyan = core::SaiyanConfig::make(phy(), core::Mode::kSuper);
   cfg.stream.payload_symbols = kPayload;
-  cfg.chunk_samples = 8192;
   cfg.workers = 2;
   cfg.watchdog.poll_ms = 10;
   // Generous bounds: an honest job replays this trace in well under a

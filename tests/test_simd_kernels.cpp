@@ -39,6 +39,12 @@ struct IsaGuard {
 
 bool have_avx2() { return simd::cpu_has_avx2_fma(); }
 
+/// memcmp that accepts a zero length: an empty vector's data() may be
+/// null, and memcmp's pointers must be valid even when nothing is read.
+int bytes_cmp(const void* a, const void* b, std::size_t n) {
+  return n == 0 ? 0 : std::memcmp(a, b, n);
+}
+
 RealSignal random_reals(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
   RealSignal out(n);
@@ -66,8 +72,8 @@ void expect_dispatch_identical(std::size_t n, std::size_t off, Fn&& fn) {
   fn(a.data() + off, b.data() + off, out_scalar.data() + off, n);
   simd::set_isa(simd::Isa::kAvx2);
   fn(a.data() + off, b.data() + off, out_avx2.data() + off, n);
-  ASSERT_EQ(0, std::memcmp(out_scalar.data(), out_avx2.data(),
-                           out_scalar.size() * sizeof(double)))
+  ASSERT_EQ(0, bytes_cmp(out_scalar.data(), out_avx2.data(),
+                         out_scalar.size() * sizeof(double)))
       << "n=" << n << " off=" << off;
 }
 
@@ -96,7 +102,7 @@ TEST(SimdKernels, SquareLawBitIdentical) {
       simd::square_law(x.data() + off, n, 0.37, ys.data());
       simd::set_isa(simd::Isa::kAvx2);
       simd::square_law(x.data() + off, n, 0.37, yv.data());
-      ASSERT_EQ(0, std::memcmp(ys.data(), yv.data(), n * sizeof(double)))
+      ASSERT_EQ(0, bytes_cmp(ys.data(), yv.data(), n * sizeof(double)))
           << "n=" << n << " off=" << off;
     }
   }
@@ -114,7 +120,7 @@ TEST(SimdKernels, SquareLawMixedBitIdentical) {
       simd::square_law_mixed(x.data() + off, g.data() + off, n, 1.7, ys.data());
       simd::set_isa(simd::Isa::kAvx2);
       simd::square_law_mixed(x.data() + off, g.data() + off, n, 1.7, yv.data());
-      ASSERT_EQ(0, std::memcmp(ys.data(), yv.data(), n * sizeof(double)))
+      ASSERT_EQ(0, bytes_cmp(ys.data(), yv.data(), n * sizeof(double)))
           << "n=" << n << " off=" << off;
     }
   }
@@ -146,8 +152,8 @@ void expect_fused_identical(std::size_t n, std::size_t off, Fn&& fn) {
   fn(x.data() + off, out_scalar.data() + off, n, rng_s);
   simd::set_isa(simd::Isa::kAvx2);
   fn(x.data() + off, out_avx2.data() + off, n, rng_v);
-  ASSERT_EQ(0, std::memcmp(out_scalar.data(), out_avx2.data(),
-                           out_scalar.size() * sizeof(double)))
+  ASSERT_EQ(0, bytes_cmp(out_scalar.data(), out_avx2.data(),
+                         out_scalar.size() * sizeof(double)))
       << "n=" << n << " off=" << off;
   ASSERT_EQ(rng_s.engine()(), rng_v.engine()()) << "n=" << n << " off=" << off;
 }
@@ -204,7 +210,7 @@ TEST(SimdKernels, LnaSquareLawBitIdentical) {
         simd::set_isa(simd::Isa::kAvx2);
         simd::lna_square_law(x.data() + off, mixed ? gm.data() + off : nullptr,
                              n, 10.0, 3e-9, 0.8, yv.data(), rv);
-        ASSERT_EQ(0, std::memcmp(ys.data(), yv.data(), n * sizeof(double)))
+        ASSERT_EQ(0, bytes_cmp(ys.data(), yv.data(), n * sizeof(double)))
             << "n=" << n << " off=" << off << " mixed=" << mixed;
         ASSERT_EQ(rs.engine()(), rv.engine()());
       }
@@ -231,7 +237,7 @@ TEST(SimdKernels, LnaSquareLawMatchesTwoPassChain) {
     want[i] = k * g2 * (re * re + im * im);
   }
   simd::lna_square_law(x.data(), gm.data(), n, g, sigma, k, got.data(), r2);
-  EXPECT_EQ(0, std::memcmp(want.data(), got.data(), n * sizeof(double)));
+  EXPECT_EQ(0, bytes_cmp(want.data(), got.data(), n * sizeof(double)));
   EXPECT_EQ(r1.engine()(), r2.engine()());
 }
 
@@ -293,8 +299,8 @@ TEST(SimdKernels, ComplexScaledSubtractBitIdentical) {
       simd::complex_scaled_subtract(x.data() + off, n, a, b, y0.data() + off);
       simd::set_isa(simd::Isa::kAvx2);
       simd::complex_scaled_subtract(x.data() + off, n, a, b, y1.data() + off);
-      ASSERT_EQ(0, std::memcmp(y0.data(), y1.data(),
-                               y0.size() * sizeof(Complex)))
+      ASSERT_EQ(0, bytes_cmp(y0.data(), y1.data(),
+                             y0.size() * sizeof(Complex)))
           << "n=" << n;
     }
   }
@@ -328,7 +334,7 @@ TEST(SimdKernels, FusedKernelsMatchPerSampleDraws) {
     want[i] = 0.25 * x[i] + 1e-7 * r1.gaussian();
   }
   simd::scale_add_gaussian(x.data(), n, 0.25, 1e-7, got.data(), r2);
-  EXPECT_EQ(0, std::memcmp(want.data(), got.data(), n * sizeof(double)));
+  EXPECT_EQ(0, bytes_cmp(want.data(), got.data(), n * sizeof(double)));
   EXPECT_EQ(r1.engine()(), r2.engine()());
 
   Rng r3(11), r4(11);
@@ -337,7 +343,7 @@ TEST(SimdKernels, FusedKernelsMatchPerSampleDraws) {
     want[i] = 10.0 * (x[i] + nr);
   }
   simd::gain_add_gaussian(x.data(), n, 10.0, 2e-8, got.data(), r4);
-  EXPECT_EQ(0, std::memcmp(want.data(), got.data(), n * sizeof(double)));
+  EXPECT_EQ(0, bytes_cmp(want.data(), got.data(), n * sizeof(double)));
   EXPECT_EQ(r3.engine()(), r4.engine()());
 }
 
@@ -359,7 +365,7 @@ TEST(SimdKernels, MultiplyBitIdenticalIncludingInPlace) {
   simd::multiply(xs.data(), lo.data(), xs.size(), xs.data());
   simd::set_isa(simd::Isa::kAvx2);
   simd::multiply(xv.data(), lo.data(), xv.size(), xv.data());
-  EXPECT_EQ(0, std::memcmp(xs.data(), xv.data(), xs.size() * sizeof(double)));
+  EXPECT_EQ(0, bytes_cmp(xs.data(), xv.data(), xs.size() * sizeof(double)));
 }
 
 TEST(SimdKernels, ComplexScaleTableBitIdentical) {
@@ -374,7 +380,7 @@ TEST(SimdKernels, ComplexScaleTableBitIdentical) {
       simd::complex_scale_table(xs.data() + off, g.data() + off, n);
       simd::set_isa(simd::Isa::kAvx2);
       simd::complex_scale_table(xv.data() + off, g.data() + off, n);
-      ASSERT_EQ(0, std::memcmp(xs.data(), xv.data(), xs.size() * sizeof(Complex)))
+      ASSERT_EQ(0, bytes_cmp(xs.data(), xv.data(), xs.size() * sizeof(Complex)))
           << "n=" << n << " off=" << off;
     }
   }
@@ -424,7 +430,7 @@ TEST(SimdFillGaussian, MatchesRepeatedScalarDraws) {
     Rng batch(42 + n);
     std::vector<double> got(n, 0.0);
     simd::fill_gaussian(batch, got.data(), n);
-    ASSERT_EQ(0, std::memcmp(want.data(), got.data(), n * sizeof(double)))
+    ASSERT_EQ(0, bytes_cmp(want.data(), got.data(), n * sizeof(double)))
         << "n=" << n;
     // The engines must also end in the same state.
     EXPECT_EQ(seq.engine()(), batch.engine()());
@@ -441,7 +447,7 @@ TEST(SimdFillGaussian, ScalarAndAvx2StreamsIdentical) {
   simd::fill_gaussian(ra, a.data(), n);
   simd::set_isa(simd::Isa::kAvx2);
   simd::fill_gaussian(rb, b.data(), n);
-  EXPECT_EQ(0, std::memcmp(a.data(), b.data(), n * sizeof(double)));
+  EXPECT_EQ(0, bytes_cmp(a.data(), b.data(), n * sizeof(double)));
   EXPECT_EQ(ra.engine()(), rb.engine()());
 }
 

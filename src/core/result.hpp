@@ -18,8 +18,8 @@
 
 #include <stdexcept>
 #include <string>
+#include <optional>
 #include <utility>
-#include <variant>
 
 #include "stream/ingest_stats.hpp"
 
@@ -40,11 +40,11 @@ template <typename T>
 class [[nodiscard]] Result {
  public:
   /// Success. Implicit so call sites read `return value;`.
-  Result(T value) : state_(std::in_place_index<0>, std::move(value)) {}
+  Result(T value) : value_(std::move(value)) {}
   /// Failure. Implicit so call sites read `return fail(...)`.
-  Result(Error error) : state_(std::in_place_index<1>, std::move(error)) {}
+  Result(Error error) : error_(std::move(error)) {}
 
-  bool ok() const { return state_.index() == 0; }
+  bool ok() const { return value_.has_value(); }
   explicit operator bool() const { return ok(); }
 
   /// The success value; throws std::logic_error on a failed Result
@@ -54,33 +54,32 @@ class [[nodiscard]] Result {
   T& value() & { return *checked(); }
   T&& value() && { return std::move(*checked()); }
 
-  T value_or(T fallback) const& { return ok() ? std::get<0>(state_) : fallback; }
+  T value_or(T fallback) const& { return ok() ? *value_ : fallback; }
 
   /// The failure; throws std::logic_error on a successful Result.
   const Error& error() const {
     if (ok()) throw std::logic_error("Result::error() on success");
-    return std::get<1>(state_);
+    return error_;
   }
 
   /// "" on success, the error message otherwise — printable either way.
-  const std::string& message() const {
-    static const std::string kEmpty;
-    return ok() ? kEmpty : std::get<1>(state_).message;
-  }
+  const std::string& message() const { return error_.message; }
 
  private:
   const T* checked() const {
     if (!ok()) {
-      throw std::logic_error("Result::value() on error: " +
-                             std::get<1>(state_).message);
+      throw std::logic_error("Result::value() on error: " + error_.message);
     }
-    return &std::get<0>(state_);
+    return &*value_;
   }
   T* checked() {
     return const_cast<T*>(static_cast<const Result*>(this)->checked());
   }
 
-  std::variant<T, Error> state_;
+  // Exactly one is meaningful: value_ on success, error_ otherwise (a
+  // success keeps a default Error, so message() reads "").
+  std::optional<T> value_;
+  Error error_;
 };
 
 /// Build a failed Result (deduced at the return site).

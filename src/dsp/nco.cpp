@@ -90,22 +90,4 @@ Signal mix_complex(std::span<const Complex> x, double f_hz, double fs_hz,
   return out;
 }
 
-Signal mix_real(std::span<const Complex> x, double f_hz, double fs_hz,
-                double phase_rad) {
-  Signal out(x.size());
-  generate_rotation(x.size(), phase_rad, kTwoPi * f_hz / fs_hz,
-                    [&](std::size_t i, double c, double) {
-                      out[i] = Complex(x[i].real() * c, x[i].imag() * c);
-                    });
-  return out;
-}
-
-RealSignal mix_real(std::span<const double> x, double f_hz, double fs_hz,
-                    double phase_rad) {
-  RealSignal out(x.size());
-  generate_rotation(x.size(), phase_rad, kTwoPi * f_hz / fs_hz,
-                    [&](std::size_t i, double c, double) { out[i] = x[i] * c; });
-  return out;
-}
-
 }  // namespace saiyan::dsp

@@ -49,13 +49,4 @@ class Nco {
 Signal mix_complex(std::span<const Complex> x, double f_hz, double fs_hz,
                    double phase_rad = 0.0);
 
-/// Multiply a complex waveform by a *real* cosine — the physical mixer
-/// operation that produces both sidebands S(F−Δf) and S(F+Δf).
-Signal mix_real(std::span<const Complex> x, double f_hz, double fs_hz,
-                double phase_rad = 0.0);
-
-/// Multiply a real waveform by a real cosine.
-RealSignal mix_real(std::span<const double> x, double f_hz, double fs_hz,
-                    double phase_rad = 0.0);
-
 }  // namespace saiyan::dsp

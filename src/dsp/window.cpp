@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "dsp/utils.hpp"
-
 namespace saiyan::dsp {
 
 double bessel_i0(double x) {
@@ -55,10 +53,6 @@ RealSignal make_window(WindowType type, std::size_t n, double beta) {
     }
   }
   return w;
-}
-
-double coherent_gain(const RealSignal& w) {
-  return mean(w);
 }
 
 }  // namespace saiyan::dsp

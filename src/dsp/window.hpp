@@ -22,8 +22,4 @@ RealSignal make_window(WindowType type, std::size_t n, double beta = 8.6);
 /// expansion), used by the Kaiser window.
 double bessel_i0(double x);
 
-/// Coherent gain of a window (mean of its samples) — needed to
-/// de-bias amplitude estimates taken through a window.
-double coherent_gain(const RealSignal& w);
-
 }  // namespace saiyan::dsp

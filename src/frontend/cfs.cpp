@@ -71,28 +71,15 @@ void CyclicFrequencyShifter::if_stage_into(
   bp.process_inplace(out);
 }
 
-dsp::RealSignal CyclicFrequencyShifter::if_stage(std::span<const dsp::Complex> rf,
-                                                 dsp::Rng& rng) const {
-  dsp::RealSignal out;
-  FrontendScratch scratch;
-  if_stage_into(rf, rng, out, scratch, nullptr);
-  return out;
-}
-
-dsp::RealSignal CyclicFrequencyShifter::intermediate(std::span<const dsp::Complex> rf,
-                                                     dsp::Rng& rng) const {
-  return if_stage(rf, rng);
-}
-
 // Steps 4 and 5, shared by the plain and fused-LNA entry points.
 void CyclicFrequencyShifter::output_stage_into(std::size_t n,
                                                dsp::RealSignal& out,
                                                FrontendScratch& scratch) const {
   // Step 4: output mixing with the delay-line clock copy brings the IF
   // envelope back to baseband (amplitude × cos(Δφ)/2) and shifts the
-  // residual baseband noise up to Δf. The LO table is the same cosine
-  // dsp::mix_real generates, cached per length; the 2x mixer scale
-  // rides the low-pass coefficients below.
+  // residual baseband noise up to Δf. The LO table is the delay-line
+  // clock's cosine (dsp::Nco::cosine), cached per length; the 2x mixer
+  // scale rides the low-pass coefficients below.
   if (scratch.cfs_lo.size() != n) {
     dsp::Nco lo(cfg_.clock.frequency_hz, fs_hz_,
                 cfg_.clock.delay_line_phase_rad);

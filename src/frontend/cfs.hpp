@@ -62,14 +62,9 @@ class CyclicFrequencyShifter {
                               dsp::Rng& rng, dsp::RealSignal& out,
                               FrontendScratch& scratch) const;
 
-  /// The IF waveform after step 3 (before the output mixer) — exposed
-  /// for the Fig. 10 spectrum benchmark and tests.
-  dsp::RealSignal intermediate(std::span<const dsp::Complex> rf, dsp::Rng& rng) const;
-
   const CfsConfig& config() const { return cfg_; }
 
  private:
-  dsp::RealSignal if_stage(std::span<const dsp::Complex> rf, dsp::Rng& rng) const;
   /// `lna` non-null applies the fused CG-LNA (gain, sigma) inside the
   /// square-law detector; null means `rf` is already amplified.
   void if_stage_into(std::span<const dsp::Complex> rf, dsp::Rng& rng,

@@ -107,15 +107,6 @@ dsp::RealSignal EnvelopeDetector::detect_raw(std::span<const dsp::Complex> x,
   return y;
 }
 
-dsp::RealSignal EnvelopeDetector::detect_raw_mixed(std::span<const dsp::Complex> x,
-                                                   std::span<const double> mix_gain,
-                                                   dsp::Rng& rng) const {
-  dsp::RealSignal y;
-  FrontendScratch scratch;
-  detect_raw_mixed_into(x, mix_gain, rng, y, scratch);
-  return y;
-}
-
 dsp::RealSignal EnvelopeDetector::detect(std::span<const dsp::Complex> x,
                                          dsp::Rng& rng) const {
   dsp::RealSignal y;

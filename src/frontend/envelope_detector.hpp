@@ -44,13 +44,6 @@ class EnvelopeDetector {
   /// the CFS circuit taps before its IF amplifier.
   dsp::RealSignal detect_raw(std::span<const dsp::Complex> x, dsp::Rng& rng) const;
 
-  /// Square-law of x pre-multiplied by a real per-sample mixer gain:
-  /// y = k |g·x|² + impairments = k g² |x|² + impairments. Lets the
-  /// CFS input mixer skip materializing the mixed complex waveform.
-  dsp::RealSignal detect_raw_mixed(std::span<const dsp::Complex> x,
-                                   std::span<const double> mix_gain,
-                                   dsp::Rng& rng) const;
-
   /// Workspace variants: write into a caller-owned buffer, drawing the
   /// impairment noise through the scratch's reusable buffers. Values
   /// and RNG consumption are identical to the allocating overloads.
@@ -58,6 +51,9 @@ class EnvelopeDetector {
                    dsp::RealSignal& out, FrontendScratch& scratch) const;
   void detect_raw_into(std::span<const dsp::Complex> x, dsp::Rng& rng,
                        dsp::RealSignal& out, FrontendScratch& scratch) const;
+  /// Square-law of x pre-multiplied by a real per-sample mixer gain:
+  /// y = k |g·x|² + impairments = k g² |x|² + impairments. Lets the
+  /// CFS input mixer skip materializing the mixed complex waveform.
   void detect_raw_mixed_into(std::span<const dsp::Complex> x,
                              std::span<const double> mix_gain, dsp::Rng& rng,
                              dsp::RealSignal& out,

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "dsp/resample.hpp"
-
 namespace saiyan::frontend {
 
 VoltageSampler::VoltageSampler(const lora::PhyParams& params, double rate_multiplier)
@@ -41,11 +39,6 @@ void VoltageSampler::sample_into(std::span<const std::uint8_t> comparator_bits,
     const std::size_t idx = static_cast<std::size_t>(std::floor(k * ratio));
     out.bits[k] = comparator_bits[std::min(idx, comparator_bits.size() - 1)];
   }
-}
-
-dsp::RealSignal VoltageSampler::sample_analog(std::span<const double> envelope,
-                                              double fs_hz) const {
-  return dsp::sample_hold(envelope, fs_hz, rate_hz_);
 }
 
 }  // namespace saiyan::frontend

@@ -13,6 +13,7 @@
 #include <unordered_map>
 
 #include "gateway/degradation.hpp"
+#include "obs/seqlock.hpp"
 #include "obs/stage_metrics.hpp"
 #include "obs/trace_ring.hpp"
 #include "stream/streaming_demod.hpp"
@@ -138,7 +139,7 @@ struct Gateway::Impl {
     bool busy = false;     // guarded by Impl::mu_
     std::condition_variable cv;
     WorkerCounters counters;
-    StatsCell<stream::IngestStats> ingest_pub;
+    obs::Seqlock<stream::IngestStats> ingest_pub;
     stream::IngestStats ingest;  // worker-private accumulator
     std::unique_ptr<stream::StreamingDemodulator> demod;
     DemodKey demod_key;
@@ -310,7 +311,7 @@ struct Gateway::Impl {
     ++w.ingest.jobs_cancelled;
     if (reader != nullptr) w.ingest.merge(reader->stats());
     w.ingest.merge(demod.ingest());
-    w.ingest_pub.publish(w.ingest);
+    w.ingest_pub.store(w.ingest);
     JobStatus st;
     st.state = JobState::kCancelled;
     st.message = w.cancel_kind.load(std::memory_order_relaxed) == 2
@@ -402,7 +403,7 @@ struct Gateway::Impl {
                 ? stream::IngestError::kBadHeader
                 : opened.error().ingest;
         w.ingest.count(kind);
-        w.ingest_pub.publish(w.ingest);
+        w.ingest_pub.store(w.ingest);
         JobStatus st;
         st.state = JobState::kFailed;
         st.message = opened.error().message;
@@ -465,7 +466,7 @@ struct Gateway::Impl {
                                    std::memory_order_relaxed);
     if (reader != nullptr) w.ingest.merge(reader->stats());
     w.ingest.merge(demod.ingest());
-    w.ingest_pub.publish(w.ingest);
+    w.ingest_pub.store(w.ingest);
     if (job.stream) retire_stream(job);
     JobStatus done;
     done.state = JobState::kDone;
@@ -479,7 +480,7 @@ struct Gateway::Impl {
     stream::IngestStats view = w.ingest;
     if (reader != nullptr) view.merge(reader->stats());
     view.merge(demod.ingest());
-    w.ingest_pub.publish(view);
+    w.ingest_pub.store(view);
   }
 
   void emit_frames(Worker& w, stream::StreamingDemodulator& demod,
@@ -946,7 +947,7 @@ GatewayStats Gateway::stats() const {
     s.samples_consumed += ws.samples;
     s.chunks_ingested += ws.chunks;
     s.truncated_frames += ws.truncated;
-    s.ingest.merge(wp->ingest_pub.read());
+    s.ingest.merge(wp->ingest_pub.load());
     s.per_worker.push_back(ws);
   }
   if (s.uptime_s > 0.0) {
@@ -1021,13 +1022,11 @@ GatewayHealth Gateway::health() const {
     wh.rescan_backlog = w.rescan_backlog.load(std::memory_order_relaxed);
     wh.jobs_completed = w.counters.jobs.load(std::memory_order_relaxed);
     h.rescan_backlog = std::max(h.rescan_backlog, wh.rescan_backlog);
-    h.jobs_cancelled += w.ingest_pub.read().jobs_cancelled;
+    h.jobs_cancelled += w.ingest_pub.load().jobs_cancelled;
     h.workers.push_back(wh);
   }
   return h;
 }
-
-const GatewayConfig& Gateway::config() const { return impl_->base_cfg; }
 
 const char* to_string(JobState state) {
   switch (state) {

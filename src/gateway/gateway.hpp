@@ -173,8 +173,6 @@ class Gateway {
   /// through describe_links() (gateway_metrics.hpp).
   obs::LinkRegistrySnapshot links() const;
 
-  const GatewayConfig& config() const;
-
  private:
   explicit Gateway(const GatewayConfig& cfg);
   struct Impl;

@@ -8,9 +8,12 @@
 //     per-worker relaxed atomics, padded to their own cache line —
 //     a worker increments without synchronizing with anyone;
 //   * the composite IngestStats block (too wide for one atomic) is
-//     published through a per-worker seqlock: the worker bumps a
-//     version counter around its update, the snapshot thread retries
-//     the copy until it reads a stable even version. Writers never
+//     published through a per-worker obs::Seqlock (obs/seqlock.hpp):
+//     the worker bumps a version counter around its update, the
+//     snapshot thread retries the copy until it reads a stable even
+//     version. The payload is copied as relaxed atomic words between
+//     paired release/acquire fences, so a snapshot is race-free under
+//     the C++ memory model and never mixes two updates. Writers never
 //     wait; readers retry, which only matters while a worker is
 //     mid-publish.
 //
@@ -21,7 +24,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -32,35 +34,6 @@
 #include "stream/ingest_stats.hpp"
 
 namespace saiyan::gateway {
-
-/// Single-writer seqlock publishing a composite stats block to
-/// concurrent snapshot readers without making the writer wait.
-template <typename T>
-class StatsCell {
- public:
-  /// Worker side (one writer): publish a new value.
-  void publish(const T& value) {
-    seq_.fetch_add(1, std::memory_order_relaxed);        // odd: in flux
-    std::atomic_thread_fence(std::memory_order_release);
-    data_ = value;
-    seq_.fetch_add(1, std::memory_order_release);        // even: stable
-  }
-
-  /// Snapshot side: retry until a stable copy is read.
-  T read() const {
-    for (;;) {
-      const std::uint32_t before = seq_.load(std::memory_order_acquire);
-      if (before & 1) continue;
-      T copy = data_;
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (seq_.load(std::memory_order_relaxed) == before) return copy;
-    }
-  }
-
- private:
-  std::atomic<std::uint32_t> seq_{0};
-  T data_{};
-};
 
 /// One pipeline stage's latency distribution as seen in a snapshot
 /// (source: the shared obs::StageMetrics every worker records into).

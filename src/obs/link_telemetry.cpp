@@ -36,13 +36,11 @@ std::size_t LinkTelemetry::find_or_evict_(std::uint64_t key) {
   }
   keys_[victim] = key;
   evictions_.fetch_add(1, std::memory_order_relaxed);
-  // Publish the wipe through the seqlock so a concurrent reader never
-  // sees the old link's counters under the new link's key.
+  // Publish the wipe so a reader sees the old link vanish, not its
+  // counters carried over into the new link.
   Slot& s = slots_[victim];
-  s.seq.fetch_add(1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
   s.w = Window{};
-  s.seq.fetch_add(1, std::memory_order_release);
+  s.pub.store(s.w);
   return victim;
 }
 
@@ -52,16 +50,15 @@ void LinkTelemetry::record_frame(const FrameDiag& d) {
   Slot& s = slots_[i];
   s.lru = ++lru_clock_;
 
-  // Build the next window outside the critical seqlock section so the
-  // odd-seq span stays as short as a struct copy.
-  Window w = s.w;
+  Window& w = s.w;
+  LinkSnapshot& l = w.link;
   const bool fresh = !w.used;
   w.used = true;
-  w.tag_id = d.tag_id;
-  w.channel = d.channel;
-  w.frames += 1;
-  if (d.collided) w.collided_frames += 1;
-  if (d.sic_assisted) w.sic_rescued += 1;
+  l.tag_id = d.tag_id;
+  l.channel = d.channel;
+  l.frames += 1;
+  if (d.collided) l.collided_frames += 1;
+  if (d.sic_assisted) l.sic_rescued += 1;
   if (d.has_seq) {
     if (w.has_seq) {
       // Sequence counters are symbol-valued and wrap at the symbol
@@ -70,35 +67,31 @@ void LinkTelemetry::record_frame(const FrameDiag& d) {
       std::uint32_t step = d.seq - w.last_seq;
       if (d.seq_modulus > 1) step %= d.seq_modulus;
       if (step > 1 && step < (1u << 16)) {  // gate absurd jumps
-        w.lost_frames += step - 1;
+        l.lost_frames += step - 1;
       }
     }
     w.last_seq = d.seq;
     w.has_seq = true;
   }
   if (fresh) {
-    w.ewma_snr_db = d.snr_db;
-    w.ewma_cfo_hz = d.cfo_hz;
-    w.ewma_timing = d.timing_offset;
-    w.ewma_margin = d.corr_margin;
-    w.ewma_latency_us = static_cast<double>(d.latency_us);
+    l.ewma_snr_db = d.snr_db;
+    l.ewma_cfo_hz = d.cfo_hz;
+    l.ewma_timing = d.timing_offset;
+    l.ewma_margin = d.corr_margin;
+    l.ewma_latency_us = static_cast<double>(d.latency_us);
   } else {
-    w.ewma_snr_db = ewma(w.ewma_snr_db, d.snr_db, kAlpha);
-    w.ewma_cfo_hz = ewma(w.ewma_cfo_hz, d.cfo_hz, kAlpha);
-    w.ewma_timing = ewma(w.ewma_timing, d.timing_offset, kAlpha);
-    w.ewma_margin = ewma(w.ewma_margin, d.corr_margin, kAlpha);
-    w.ewma_latency_us =
-        ewma(w.ewma_latency_us, static_cast<double>(d.latency_us), kAlpha);
+    l.ewma_snr_db = ewma(l.ewma_snr_db, d.snr_db, kAlpha);
+    l.ewma_cfo_hz = ewma(l.ewma_cfo_hz, d.cfo_hz, kAlpha);
+    l.ewma_timing = ewma(l.ewma_timing, d.timing_offset, kAlpha);
+    l.ewma_margin = ewma(l.ewma_margin, d.corr_margin, kAlpha);
+    l.ewma_latency_us =
+        ewma(l.ewma_latency_us, static_cast<double>(d.latency_us), kAlpha);
   }
-  w.last_snr_db = d.snr_db;
-  w.last_cfo_hz = d.cfo_hz;
-  w.last_seen_us = d.seen_us;
-  w.last_packet_start = d.packet_start;
-
-  s.seq.fetch_add(1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  s.w = w;
-  s.seq.fetch_add(1, std::memory_order_release);
+  l.last_snr_db = d.snr_db;
+  l.last_cfo_hz = d.cfo_hz;
+  l.last_seen_us = d.seen_us;
+  l.last_packet_start = d.packet_start;
+  s.pub.store(w);
   frames_total_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -140,62 +133,14 @@ LinkRegistrySnapshot LinkTelemetry::snapshot() const {
   out.capacity = slots_.size();
   out.links.reserve(slots_.size());
   for (const Slot& s : slots_) {
-    Window w;
-    // Seqlock read: retry until a stable even sequence brackets the
-    // copy. Writers hold the slot odd only for a struct copy, so this
-    // converges immediately in practice.
-    for (;;) {
-      const std::uint32_t before = s.seq.load(std::memory_order_acquire);
-      if (before & 1u) continue;
-      w = s.w;
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (s.seq.load(std::memory_order_relaxed) == before) break;
-    }
-    if (!w.used) continue;
-    LinkSnapshot l;
-    l.tag_id = w.tag_id;
-    l.channel = w.channel;
-    l.frames = w.frames;
-    l.collided_frames = w.collided_frames;
-    l.sic_rescued = w.sic_rescued;
-    l.lost_frames = w.lost_frames;
-    l.ewma_snr_db = w.ewma_snr_db;
-    l.ewma_cfo_hz = w.ewma_cfo_hz;
-    l.ewma_timing = w.ewma_timing;
-    l.ewma_margin = w.ewma_margin;
-    l.ewma_latency_us = w.ewma_latency_us;
-    l.last_snr_db = w.last_snr_db;
-    l.last_cfo_hz = w.last_cfo_hz;
-    l.last_seen_us = w.last_seen_us;
-    l.last_packet_start = w.last_packet_start;
-    out.links.push_back(l);
+    const Window w = s.pub.load();
+    if (w.used) out.links.push_back(w.link);
   }
   out.frames_total = frames_total_.load(std::memory_order_relaxed);
   out.evictions = evictions_.load(std::memory_order_relaxed);
   out.noise_floor_dbm = noise_floor_dbm();
   out.noise_floor_valid = noise_floor_valid();
   return out;
-}
-
-void LinkTelemetry::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (Slot& s : slots_) {
-    s.seq.fetch_add(1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
-    s.w = Window{};
-    s.lru = 0;
-    s.seq.fetch_add(1, std::memory_order_release);
-  }
-  used_ = 0;
-  lru_clock_ = 0;
-  evictions_.store(0, std::memory_order_relaxed);
-  frames_total_.store(0, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> flock(floor_mu_);
-    floor_ewma_ = 0.0;
-    floor_valid_ = false;
-    floor_bits_.store(0, std::memory_order_relaxed);
-  }
 }
 
 }  // namespace saiyan::obs

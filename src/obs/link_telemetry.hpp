@@ -12,16 +12,17 @@
 // latency. The gateway folds each diag into a LinkTelemetry registry
 // keyed by decoded tag id × channel.
 //
-// Concurrency model (the GatewayStats seqlock discipline, per entry):
+// Concurrency model (one obs::Seqlock per entry, as for GatewayStats):
 //
 //   * Writers (worker threads recording frames) serialize on one
 //     mutex — frame rate is thousands per second, far below
-//     contention range — and publish each entry mutation through a
-//     per-entry seqlock (odd seq -> mutate -> even seq).
+//     contention range — update the entry's writer-private window and
+//     publish it with one Seqlock::store().
 //   * Readers (stats scrapes, the `links` control op) never take the
-//     mutex: snapshot() walks the slot array and retries any entry
-//     whose sequence was odd or moved mid-copy. Readers never block
-//     writers; a torn window is never reported.
+//     mutex: snapshot() walks the slot array and Seqlock::load()s each
+//     entry, which retries while a store is in flight. Readers never
+//     block writers; a torn window is never reported, and the copy is
+//     race-free under the C++ memory model.
 //
 // The registry is bounded: `capacity` slots, least-recently-seen
 // eviction with an eviction counter, so a tag-id fuzzing flood cannot
@@ -41,6 +42,8 @@
 #include <cstdint>
 #include <mutex>
 #include <vector>
+
+#include "obs/seqlock.hpp"
 
 namespace saiyan::obs {
 
@@ -122,8 +125,9 @@ class LinkTelemetry {
   double noise_floor_dbm() const;
   bool noise_floor_valid() const;
 
-  /// Copy every live link without blocking writers (per-entry seqlock
-  /// retry). Allocates the result vector; not for the per-frame path.
+  /// Copy every live link without blocking writers (per-entry
+  /// Seqlock::load()). Allocates the result vector; not for the
+  /// per-frame path.
   LinkRegistrySnapshot snapshot() const;
 
   std::uint64_t evictions() const {
@@ -133,10 +137,6 @@ class LinkTelemetry {
     return frames_total_.load(std::memory_order_relaxed);
   }
   std::size_t capacity() const { return slots_.size(); }
-
-  /// Forget all links and the noise floor (test/reload hook; takes the
-  /// writer mutex).
-  void reset();
 
   /// EWMA weight for the per-link windows: new = old + (x-old)/8.
   static constexpr double kAlpha = 1.0 / 8.0;
@@ -149,32 +149,19 @@ class LinkTelemetry {
   static constexpr double kNoFloorDbm = -200.0;
 
  private:
-  /// The seqlock-protected payload of one slot (plain copyable data).
+  /// What one slot publishes: the link's window plus the writer's
+  /// sequence-gap state.
   struct Window {
     bool used = false;
-    std::uint32_t tag_id = 0;
-    std::uint32_t channel = 0;
-    std::uint64_t frames = 0;
-    std::uint64_t collided_frames = 0;
-    std::uint64_t sic_rescued = 0;
-    std::uint64_t lost_frames = 0;
-    double ewma_snr_db = 0.0;
-    double ewma_cfo_hz = 0.0;
-    double ewma_timing = 0.0;
-    double ewma_margin = 0.0;
-    double ewma_latency_us = 0.0;
-    double last_snr_db = 0.0;
-    double last_cfo_hz = 0.0;
-    std::uint64_t last_seen_us = 0;
-    std::uint64_t last_packet_start = 0;
+    LinkSnapshot link;
     std::uint32_t last_seq = 0;
     bool has_seq = false;
   };
 
   struct Slot {
-    std::atomic<std::uint32_t> seq{0};  ///< odd while the writer mutates
-    Window w;
-    std::uint64_t lru = 0;  ///< writer-private recency stamp
+    Seqlock<Window> pub;    ///< what readers copy
+    Window w;               ///< writer-private master copy (mu_)
+    std::uint64_t lru = 0;  ///< writer-private recency stamp (mu_)
   };
 
   static std::uint64_t key_(std::uint32_t tag, std::uint32_t channel) {

@@ -12,6 +12,8 @@
 #include <mutex>
 #include <utility>
 
+#include "obs/seqlock.hpp"
+
 namespace saiyan::obs {
 namespace {
 
@@ -25,9 +27,11 @@ struct Ring {
   bool alive = true;             // guarded by Registry::mu
   // Monotonic count of events ever written; the slot for logical
   // index i is slots[i % capacity]. Written only by the owning
-  // thread; read by snapshotters.
+  // thread; read by snapshotters. head is the slots' sequence: each
+  // slot is copied as relaxed atomic words (obs/seqlock.hpp), so a
+  // snapshot that overlaps an overwrite is detected, never a race.
   std::atomic<std::uint64_t> head{0};
-  std::array<TraceEvent, kRingCapacity> slots{};
+  std::array<SeqWords<TraceEvent>, kRingCapacity> slots{};
 };
 
 struct Registry {
@@ -84,13 +88,15 @@ void emit(const char* name, std::uint64_t ts_us, std::uint64_t dur_us,
           char phase) noexcept {
   Ring& r = my_ring();
   const std::uint64_t idx = r.head.load(std::memory_order_relaxed);
-  TraceEvent& e = r.slots[idx % kRingCapacity];
+  TraceEvent e;
   e.name = name;
   e.ts_us = ts_us;
   e.dur_us = dur_us;
   e.phase = phase;
-  // Publish after the slot is fully written; snapshotters re-check
-  // head after copying to discard anything we may have overwritten.
+  // store_words' release fence orders the previous head store before
+  // these words; publishing idx + 1 after them lets snapshotters
+  // re-check head and discard anything we may have overwritten.
+  store_words(r.slots[idx % kRingCapacity], e);
   r.head.store(idx + 1, std::memory_order_release);
 }
 
@@ -198,18 +204,18 @@ std::vector<ThreadTrace> snapshot_all() {
     tt.tid = ring->tid;
     tt.alive = ring->alive;
 
-    // Seqlock-flavoured copy: read head, copy the live window, read
-    // head again and discard any slot the writer may have re-entered
-    // during the copy (logical index <= h2 - capacity covers both
-    // completed and in-progress overwrites).
+    // Seqlock copy with head as the sequence: read head, copy the live
+    // window, read head again and discard any slot the writer may have
+    // re-entered during the copy (logical index <= h2 - capacity
+    // covers both completed and in-progress overwrites). load_words'
+    // acquire fence orders each slot copy before the second head read.
     const std::uint64_t h1 = ring->head.load(std::memory_order_acquire);
     const std::uint64_t begin = h1 > kRingCapacity ? h1 - kRingCapacity : 0;
     std::vector<TraceEvent> copied;
     copied.reserve(static_cast<std::size_t>(h1 - begin));
     for (std::uint64_t i = begin; i < h1; ++i) {
-      copied.push_back(ring->slots[i % kRingCapacity]);
+      copied.push_back(load_words<TraceEvent>(ring->slots[i % kRingCapacity]));
     }
-    std::atomic_thread_fence(std::memory_order_acquire);
     const std::uint64_t h2 = ring->head.load(std::memory_order_relaxed);
     const std::uint64_t min_valid =
         h2 + 1 > kRingCapacity ? h2 + 1 - kRingCapacity : 0;

@@ -14,9 +14,11 @@
 // late dump_trace still sees the tail of a dead worker's timeline.
 // The writer never blocks and never allocates after the first event on
 // a thread: when the ring is full the oldest events are overwritten
-// and counted as dropped. Readers snapshot with a head re-check and
-// discard any slot that may have been overwritten mid-copy, so a torn
-// event is never reported.
+// and counted as dropped. Slots are copied as relaxed atomic words
+// (obs/seqlock.hpp) with the head as their sequence: readers snapshot
+// with a head re-check and discard any slot that may have been
+// overwritten mid-copy, so a torn event is never reported and the
+// overlapping copy is not a data race.
 //
 // Event names must be string literals (or otherwise immortal): the
 // ring stores the pointer, not a copy.

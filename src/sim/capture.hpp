@@ -101,11 +101,6 @@ struct ReplayStats {
   /// the demodulator's own SIC counters.
   CollisionCounter collisions;
 
-  double detection_rate() const {
-    return markers == 0 ? 0.0
-                        : static_cast<double>(matched) /
-                              static_cast<double>(markers);
-  }
   double ser() const {
     return symbols == 0 ? 0.0
                         : static_cast<double>(symbol_errors) /

@@ -1,7 +1,8 @@
 // Observability subsystem tests (ctest label: unit).
 //
 // Covers the flight-recorder contract end to end: log2 histogram
-// bucket edges and interpolated quantiles, the per-thread trace ring
+// bucket edges and interpolated quantiles, the seqlock behind the
+// lock-free stats, link and trace snapshots, the per-thread trace ring
 // (drop-and-count overwrite, torn-read-free snapshots, Chrome JSON
 // shape and byte-budget trimming), ScopedTimer's histogram/timeline
 // split, the Prometheus writer's exposition invariants, and — the
@@ -29,6 +30,7 @@
 #include "obs/latency_histogram.hpp"
 #include "obs/metric_schema.hpp"
 #include "obs/prometheus.hpp"
+#include "obs/seqlock.hpp"
 #include "obs/stage_metrics.hpp"
 #include "obs/trace_ring.hpp"
 #include "sim/capture.hpp"
@@ -154,6 +156,50 @@ TEST(StageMetrics, WaitFreeUnderConcurrentWriters) {
   writer.join();
   EXPECT_EQ(m.histogram(obs::Stage::kScan).total(),
             m.histogram(obs::Stage::kDecode).total());
+}
+
+// -------------------------------------------------------------- seqlock
+
+/// Three cache lines plus a tail word: a torn copy would mix lines of
+/// two stores.
+struct WidePayload {
+  std::array<std::uint64_t, 24> v{};
+  std::uint32_t tail = 7;
+};
+static_assert(sizeof(WidePayload) > 128);
+
+// One writer stores generation g as v[i] = g * 64 + i and tail = g;
+// every load must be one whole store, and a single reader never sees
+// the generation go backwards.
+TEST(Seqlock, PublishesCoherentSnapshots) {
+  obs::Seqlock<WidePayload> cell;
+  const WidePayload first = cell.load();
+  EXPECT_EQ(first.tail, 7u);
+  EXPECT_EQ(first.v[23], 0u);
+
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    WidePayload p;
+    for (std::uint32_t g = 1; !stop.load(); ++g) {
+      for (std::size_t i = 0; i < p.v.size(); ++i) p.v[i] = g * 64ull + i;
+      p.tail = g;
+      cell.store(p);
+    }
+  });
+  std::uint32_t last = 0;
+  bool coherent = true;
+  for (int n = 0; n < 20000 && coherent; ++n) {
+    const WidePayload snap = cell.load();
+    if (snap.tail == 7u && snap.v[0] == 0u) continue;  // nothing stored yet
+    for (std::size_t i = 0; i < snap.v.size(); ++i) {
+      coherent = coherent && snap.v[i] == snap.tail * 64ull + i;
+    }
+    coherent = coherent && snap.tail >= last;
+    last = snap.tail;
+  }
+  stop.store(true);
+  writer.join();
+  EXPECT_TRUE(coherent) << "torn or stale copy after generation " << last;
 }
 
 // ----------------------------------------------------------- trace ring
@@ -308,6 +354,63 @@ TEST_F(TraceRing, JsonEscapesThreadNames) {
   obs::trace_instant("e");
   const std::string json = obs::chrome_trace_json();
   EXPECT_NE(json.find("quote\\\"back\\\\slash"), std::string::npos);
+}
+
+TEST_F(TraceRing, SnapshotUnderConcurrentEmit) {
+  // The emitter cycles begin -> instant -> end, each phase under its
+  // own name, far past the ring's capacity, so snapshots copy slots
+  // the emitter is overwriting. A whole event pairs a known name with
+  // its phase and carries no duration; the events of one snapshot
+  // keep the cycle order and non-decreasing timestamps.
+  static const char kBegin[] = "begin";
+  static const char kInstant[] = "instant";
+  static const char kEnd[] = "end";
+  std::atomic<bool> done{false};
+  std::thread emitter([&] {
+    obs::set_thread_name("emitter");
+    for (int i = 0; i < 40000; ++i) {
+      obs::trace_begin(kBegin);
+      obs::trace_instant(kInstant);
+      obs::trace_end(kEnd);
+    }
+    done.store(true);
+  });
+  const auto phase_of = [&](const char* name) {
+    if (name == kBegin) return 'B';
+    if (name == kInstant) return 'i';
+    if (name == kEnd) return 'E';
+    return '?';
+  };
+  const auto next_phase = [](char p) {
+    return p == 'B' ? 'i' : p == 'i' ? 'E' : 'B';
+  };
+  // First defect found, if any; the loop stops on it so the emitter
+  // is still joined before the test fails.
+  std::string defect;
+  int snapshots_with_events = 0;
+  // The ring outlives its thread, so the last pass after `done`
+  // always sees events.
+  while ((!done.load() || snapshots_with_events == 0) && defect.empty()) {
+    for (const obs::ThreadTrace& tt : obs::snapshot_all()) {
+      if (tt.thread_name != "emitter" || tt.events.empty()) continue;
+      ++snapshots_with_events;
+      for (std::size_t i = 0; i < tt.events.size() && defect.empty(); ++i) {
+        const obs::TraceEvent& ev = tt.events[i];
+        const bool whole = ev.phase == phase_of(ev.name) && ev.dur_us == 0;
+        const bool ordered =
+            i == 0 || (ev.phase == next_phase(tt.events[i - 1].phase) &&
+                       tt.events[i - 1].ts_us <= ev.ts_us);
+        if (!whole || !ordered) {
+          defect = "event " + std::to_string(i) + " of " +
+                   std::to_string(tt.events.size()) + ": phase '" +
+                   ev.phase + "'" + (whole ? " out of order" : " torn");
+        }
+      }
+    }
+  }
+  emitter.join();
+  EXPECT_EQ(defect, "");
+  EXPECT_GT(snapshots_with_events, 0);
 }
 
 #endif  // SAIYAN_TRACING
